@@ -158,7 +158,7 @@ def test_lock_free_appends(emit, benchmark):
         assert len(log) == n * EVENTS_PER_THREAD
         # Per-thread order survives interleaving: counters ascend.
         last = {}
-        for entry in log:
+        for entry in log.image():
             if entry.tid in last:
                 assert entry.counter == last[entry.tid] + 1
             else:

@@ -12,9 +12,7 @@ Everything a user of the profiler needs sits behind this module::
 The facade is a *names* contract, not a new layer: every symbol here
 is the same object as its home module's, so isinstance checks and
 monkeypatching keep working.  The home modules remain importable —
-``repro.core.analyzer.Analyzer`` is fine forever — but the package
-re-exports (``from repro.core import TEEPerf``) are deprecated in
-favour of this module and emit :class:`DeprecationWarning`.
+``repro.core.analyzer.Analyzer`` is fine forever.
 
 What belongs here:
 
@@ -22,7 +20,8 @@ What belongs here:
   :data:`Profiler`), :class:`Recorder`, :class:`LiveRecorder`,
   :class:`Analyzer`, :class:`Analysis`, :class:`FlameGraph`,
   :class:`QuerySession`;
-* the log and its persistence — :class:`SharedLog`,
+* the log and its persistence — :class:`SharedLog` (the write
+  side), :class:`LogImage` / :class:`LogHeader` (the one reader) and
   :func:`open_log`;
 * crash recovery — :func:`recover_log`, :func:`repair_tails`,
   :class:`RecoveryReport`, :class:`QuarantinedRange`;
@@ -60,7 +59,7 @@ from repro.core.errors import (
 )
 from repro.core.flamegraph import FlameGraph
 from repro.core.instrument import no_instrument, symbol
-from repro.core.log import SharedLog, open_log
+from repro.core.log import LogHeader, LogImage, SharedLog, open_log
 from repro.core.options import AnalyzeOptions, RecordOptions
 from repro.core.profiler import TEEPerf
 from repro.core.query import QuerySession
@@ -120,6 +119,8 @@ __all__ = [
     "LiveRecorder",
     "LivelockError",
     "LogFormatError",
+    "LogHeader",
+    "LogImage",
     "Machine",
     "MethodDelta",
     "PathTable",

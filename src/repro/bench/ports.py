@@ -185,7 +185,7 @@ def _columnar_decode_bench(size):
     def setup():
         log = _record.build_filled_log(n_entries)
         state["log"] = log
-        return {"buf": log.to_bytes(), "version": log.version}
+        return {"buf": log.to_bytes(), "version": log.header.version}
 
     def body(s):
         pair = _record.decode_sample(s["buf"], s["version"], n_entries)

@@ -9,7 +9,7 @@ log while the suite harness runs a smaller one per repetition.
 import time
 
 from repro.api import Analyzer, SharedLog
-from repro.core import KIND_CALL, KIND_RET, LogStream
+from repro.core import KIND_CALL, KIND_RET
 from repro.symbols import BinaryImage
 
 from repro.bench.timing import best_of
@@ -127,8 +127,7 @@ def run_matrix(analyzer, log, stream_path, repeats):
         cells.append(
             ("vector j=4 (mmap)", *timed_cell(
                 lambda: analyzer.analyze(
-                    LogStream.open(str(stream_path)), engine="vector",
-                    jobs=4,
+                    str(stream_path), engine="vector", jobs=4
                 )
             ))
         )

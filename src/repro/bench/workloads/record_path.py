@@ -29,6 +29,8 @@ from repro.core.log import (
     FLAG_MASK_RETS,
     HEADER_SIZE,
     LogEntry,
+    LogImage,
+    VERSION,
     _ENTRY,
     _ENTRY_V2,
     _KIND_BIT,
@@ -205,11 +207,11 @@ def zero_copy_sample(n_events, columns, inner=2):
 def codec_sizes(log):
     """``(fixed_width_bytes, rev12_bytes)`` for one log, with the
     entry-exact round trip asserted outside any timed region."""
-    from repro.core.columnar import ColumnarLog, encode_log
+    from repro.core.columnar import encode_log
 
     raw = log.to_bytes()
     image = encode_log(log)
-    assert len(ColumnarLog(image)) == len(log)
+    assert len(LogImage(image)) == len(log)
     return len(raw), len(image)
 
 
@@ -265,7 +267,7 @@ def bench_decode(n_entries, repeats):
         sink.append(len(legacy_decode(buf, n_entries)))
 
     def columnar():
-        sink.append(len(decode_columns(buf, log.version, 0, n_entries)))
+        sink.append(len(decode_columns(buf, VERSION, 0, n_entries)))
 
     t_legacy = best_of(legacy, repeats)
     t_columnar = best_of(columnar, repeats)

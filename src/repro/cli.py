@@ -56,7 +56,7 @@ from repro.core.export import (
 )
 from repro.core.flamegraph import FlameGraph
 from repro.core.instrument import symbol
-from repro.core.log import KIND_CALL, LogStream, open_log
+from repro.core.log import KIND_CALL, LogImage, open_log
 from repro.core.options import (
     add_analyze_arguments,
     add_record_arguments,
@@ -70,39 +70,44 @@ from repro.tee import platform_by_name
 
 
 def cmd_inspect(args):
-    # Big logs stream through mmap; small ones load whole (open_log
-    # picks, so inspect never slurps a multi-gigabyte file).
-    log = open_log(args.log)
+    # The file is mapped, never slurped: inspect reads a multi-gigabyte
+    # log one column chunk at a time.
     try:
-        print(f"TEE-Perf log: {args.log}")
-        print(f"  version:        {log.version}")
-        print(f"  pid:            {log.pid}")
-        print(f"  multithreaded:  {log.multithread}")
-        print(f"  active flag:    {log.active}")
-        print(f"  capacity:       {log.capacity} entries")
-        print(f"  entries:        {len(log)}")
-        print(f"  profiler addr:  {log.profiler_addr:#x}")
-        calls = rets = 0
-        threads = Counter()
-        lo = hi = None
-        for cols in log.iter_column_chunks():
-            kinds, counters, _, tids, _ = cols.as_lists()
-            calls += kinds.count(KIND_CALL)
-            rets += len(kinds) - kinds.count(KIND_CALL)
-            threads.update(tids)
-            if counters:
-                lo = min(counters) if lo is None else min(lo, min(counters))
-                hi = max(counters) if hi is None else max(hi, max(counters))
-        print(f"  calls/returns:  {calls}/{rets}")
-        print(f"  threads:        {len(threads)}")
-        if lo is not None:
-            print(f"  counter span:   {lo} .. {hi}")
-        for tid, count in threads.most_common(10):
-            print(f"    thread {tid}: {count} events")
-    finally:
-        if hasattr(log, "close"):
-            log.close()
+        with open_log(args.log) as log:
+            _inspect(args.log, log)
+    except (OSError, LogFormatError) as exc:
+        print(f"cannot inspect {args.log}: {exc}", file=sys.stderr)
+        return 1
     return 0
+
+
+def _inspect(path, log):
+    header = log.header
+    print(f"TEE-Perf log: {path}")
+    print(f"  version:        {header.version}")
+    print(f"  pid:            {header.pid}")
+    print(f"  multithreaded:  {header.multithread}")
+    print(f"  active flag:    {header.active}")
+    print(f"  capacity:       {header.capacity} entries")
+    print(f"  entries:        {len(log)}")
+    print(f"  profiler addr:  {header.profiler_addr:#x}")
+    calls = rets = 0
+    threads = Counter()
+    lo = hi = None
+    for cols in log.column_chunks():
+        kinds, counters, _, tids, _ = cols.as_lists()
+        calls += kinds.count(KIND_CALL)
+        rets += len(kinds) - kinds.count(KIND_CALL)
+        threads.update(tids)
+        if counters:
+            lo = min(counters) if lo is None else min(lo, min(counters))
+            hi = max(counters) if hi is None else max(hi, max(counters))
+    print(f"  calls/returns:  {calls}/{rets}")
+    print(f"  threads:        {len(threads)}")
+    if lo is not None:
+        print(f"  counter span:   {lo} .. {hi}")
+    for tid, count in threads.most_common(10):
+        print(f"    thread {tid}: {count} events")
 
 
 def cmd_analyze(args):
@@ -125,6 +130,9 @@ def cmd_analyze(args):
         print(f"strict recovery refused the log: {exc}", file=sys.stderr)
         if exc.report is not None:
             print(exc.report.report(), file=sys.stderr)
+        return 1
+    except LogFormatError as exc:
+        print(f"cannot analyze {args.log}: {exc}", file=sys.stderr)
         return 1
     if args.format == "report":
         print(analysis.report(top=args.top))
@@ -174,14 +182,18 @@ def cmd_recover(args):
 def cmd_convert(args):
     """Re-encode a log between fixed-width (rev 1.0/1.1) and
     compressed columnar (rev 1.2), with round-trip accounting."""
-    from repro.core.columnar import ColumnarLog, encode_log
-
     try:
-        log = open_log(args.log, mmap_threshold=float("inf"))
+        with open_log(args.log) as log:
+            return _convert(args, log)
     except (OSError, LogFormatError) as exc:
         print(f"cannot convert: {exc}", file=sys.stderr)
         return 1
-    was_compressed = isinstance(log, ColumnarLog)
+
+
+def _convert(args, log):
+    from repro.core.columnar import decode_log, encode_log
+
+    was_compressed = log.header.compressed
     to_columnar = not was_compressed if args.to is None \
         else args.to == "1.2"
     in_size = os.path.getsize(args.log)
@@ -189,8 +201,6 @@ def cmd_convert(args):
     if to_columnar == was_compressed:
         direction = "rev 1.2" if was_compressed else "fixed-width"
         print(f"{args.log} is already {direction}; nothing to do")
-        if was_compressed:
-            log.close()
         return 0
     suffix = ".tpc" if to_columnar else ".teeperf"
     output = args.output or f"{os.path.splitext(args.log)[0]}{suffix}"
@@ -201,15 +211,13 @@ def cmd_convert(args):
         out_size = len(image)
         # Round-trip check: the compressed image must decode to the
         # same entries before we call the conversion good.
-        back = ColumnarLog(image)
-        ok = len(back) == entries
+        back = len(LogImage(image).columns())
     else:
-        expanded = log.to_shared_log()
+        expanded = decode_log(log)
         expanded.dump(output)
         out_size = os.path.getsize(output)
-        back = expanded
-        ok = len(back) == entries
-        log.close()
+        back = len(expanded)
+    ok = back == entries
     ratio = in_size / out_size if out_size else 0.0
     print(f"converted {args.log} -> {output}")
     print(f"  entries:   {entries}")
@@ -220,7 +228,7 @@ def cmd_convert(args):
         f"{'smaller' if ratio >= 1 else 'larger'}"
     )
     print(
-        f"  round trip: {len(back)}/{entries} entries "
+        f"  round trip: {back}/{entries} entries "
         f"{'OK' if ok else 'MISMATCH'}"
     )
     if not ok:

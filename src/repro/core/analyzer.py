@@ -1,8 +1,9 @@
 """Stage 3 — the streaming analyzer.
 
-The analyzer ingests the log in fixed-size chunks (from a
-:class:`~repro.core.log.SharedLog` in memory or a mmap-backed
-:class:`~repro.core.log.LogStream` on disk), groups entries per thread
+The analyzer ingests the log in fixed-size column chunks through the
+one reader, :class:`~repro.core.log.LogImage` (over a
+:class:`~repro.core.log.SharedLog` in memory, a buffer, or an
+mmap-mapped file on disk), groups entries per thread
 (the thread id in each entry makes per-thread order reliable even
 though the global log order is not), reconstructs each thread's call
 stack from the call/return events — per-thread shards are independent,
@@ -43,15 +44,8 @@ try:
 except ImportError:  # pragma: no cover - numpy is a hard dep in-tree
     _np = None
 
-from repro.core.columnar import ColumnarLog
 from repro.core.errors import AnalyzerError
-from repro.core.log import (
-    DEFAULT_CHUNK_ENTRIES,
-    LogStream,
-    SharedLog,
-    is_compressed_image,
-    open_log,
-)
+from repro.core.log import DEFAULT_CHUNK_ENTRIES, LogImage
 from repro.core.recovery import (
     RECOVER_MODES,
     recover_log,
@@ -407,8 +401,9 @@ class Analyzer:
                 engine="auto", recover="off", options=None):
         """Streaming analysis: chunked ingestion, sharded reconstruction.
 
-        `log` may be a :class:`SharedLog`, a :class:`LogStream`, raw
-        bytes, or a path (paths are opened as mmap-backed streams, so
+        `log` is any log source :meth:`LogImage.of` accepts — a
+        :class:`~repro.core.log.SharedLog`, a :class:`LogImage`, raw
+        bytes or a memoryview (read in place), or a path (mapped, so
         the whole file is never read into memory at once).  `jobs`
         sets the worker-pool width for per-thread shards; `stats` is
         an optional recorder-seeded :class:`PipelineStats` to extend —
@@ -456,26 +451,24 @@ class Analyzer:
             log, recovery_report = recover_log(log)
             if recover == "strict":
                 require_clean(recovery_report)
-        opened = not isinstance(log, (SharedLog, LogStream, ColumnarLog))
-        log = self._coerce(log)
         stats = stats if stats is not None else PipelineStats()
         stats.jobs = jobs
         stats.chunk_size = chunk_size
         stats.engine = engine
-        if not stats.bytes_written:
-            stats.bytes_written = len(log) * log.entry_size
-        if not stats.bytes_on_disk and isinstance(log, ColumnarLog):
-            stats.bytes_on_disk = log.nbytes
         if recovery_report is not None:
             recovery_stats(recovery_report, stats)
 
-        try:
+        with self._log_image(log) as log:
+            if not stats.bytes_written:
+                stats.bytes_written = len(log) * log.header.entry_size
+            if not stats.bytes_on_disk and log.header.compressed:
+                stats.bytes_on_disk = log.nbytes
             # Ingestion: decode fixed-size *column* chunks (one
             # vectorised sweep each — no LogEntry objects), shard per
             # thread with array masks.
             per_thread = {}
             lo = hi = None
-            for cols in log.iter_column_chunks(chunk_size):
+            for cols in log.column_chunks(chunk_size):
                 stats.chunks_processed += 1
                 stats.entries_ingested += len(cols)
                 bounds = cols.counter_bounds()
@@ -490,28 +483,25 @@ class Analyzer:
             )
             analysis.recovery = recovery_report
             return analysis
-        finally:
-            if opened and isinstance(log, (LogStream, ColumnarLog)):
-                log.close()
 
     def analyze_batch(self, log, stats=None):
         """The original single-pass path: the whole log, one entry at
         a time, one worker.  Kept as the differential-testing oracle
         for the streaming path (and for callers that hold tiny logs)."""
-        log = self._coerce(log)
         stats = stats if stats is not None else PipelineStats()
         stats.jobs = 1
         stats.engine = "python"
         stats.chunks_processed += 1
         per_thread = {}
         lo = hi = None
-        for entry in log:
-            stats.entries_ingested += 1
-            per_thread.setdefault(entry.tid, []).append(entry)
-            lo = entry.counter if lo is None else min(lo, entry.counter)
-            hi = entry.counter if hi is None else max(hi, entry.counter)
-        stats.counter_span = (hi - lo) if lo is not None else 0
-        return self._finish(log, per_thread, 1, stats)
+        with self._log_image(log) as log:
+            for entry in log:
+                stats.entries_ingested += 1
+                per_thread.setdefault(entry.tid, []).append(entry)
+                lo = entry.counter if lo is None else min(lo, entry.counter)
+                hi = entry.counter if hi is None else max(hi, entry.counter)
+            stats.counter_span = (hi - lo) if lo is not None else 0
+            return self._finish(log, per_thread, 1, stats)
 
     # ------------------------------------------------------------------
 
@@ -637,7 +627,7 @@ class Analyzer:
     def _finish_columns(self, log, per_thread, jobs, stats,
                         engine="python"):
         """Column-shard counterpart of :meth:`_finish`."""
-        offset = log.profiler_addr - self.image.profiler_addr
+        offset = log.header.profiler_addr - self.image.profiler_addr
         shards = list(per_thread.items())
         stats.shards_analyzed = len(shards)
 
@@ -709,7 +699,7 @@ class Analyzer:
 
     def _finish(self, log, per_thread, jobs, stats):
         """Reconstruct every shard (serially or on a pool) and merge."""
-        offset = log.profiler_addr - self.image.profiler_addr
+        offset = log.header.profiler_addr - self.image.profiler_addr
         cache = CachedResolver(self.image.symtab, maxsize=self.cache_size)
         shards = list(per_thread.items())
         stats.shards_analyzed = len(shards)
@@ -772,12 +762,13 @@ class Analyzer:
             stats.cache_hits += sum(o.hits for o in outcomes)
             stats.cache_misses += sum(o.misses for o in outcomes)
 
+        header = log.header
         meta = {
             "events": len(log),
-            "pid": log.pid,
-            "capacity": log.capacity,
-            "version": log.version,
-            "multithread": log.multithread,
+            "pid": header.pid,
+            "capacity": header.capacity,
+            "version": header.version,
+            "multithread": header.multithread,
             "callsite_mismatches": mismatches,
         }
         locations = {
@@ -787,25 +778,15 @@ class Analyzer:
             records, unmatched, self.tick_ns, meta, locations, pipeline=stats
         )
 
-    def _coerce(self, log):
-        if isinstance(log, (SharedLog, LogStream, ColumnarLog)):
-            return log
-        if isinstance(log, memoryview):
-            # Zero-copy: a read-only view over someone else's buffer
-            # (the fleet shm fast path) — never materialise bytes.
-            if is_compressed_image(log):
-                return ColumnarLog(log)
-            return SharedLog.view(log)
-        if isinstance(log, (bytes, bytearray)):
-            if is_compressed_image(log):
-                return ColumnarLog(log)
-            return SharedLog.from_bytes(log)
-        if isinstance(log, str) or hasattr(log, "__fspath__"):
-            # Threshold-based: small files are slurped into a
-            # SharedLog, big ones become mmap-backed streams;
-            # rev 1.2 images dispatch to ColumnarLog.
-            return open_log(log)
-        raise AnalyzerError(f"cannot analyze {type(log).__name__}")
+    @staticmethod
+    def _log_image(log):
+        """`log` as a :class:`LogImage` (closing it releases only what
+        was opened here); a type no log can be read from is an
+        :class:`AnalyzerError`."""
+        try:
+            return LogImage.of(log)
+        except TypeError as exc:
+            raise AnalyzerError(str(exc)) from None
 
     def _resolve(self, runtime_addr, offset, cache):
         symbol = cache.resolve(runtime_addr - offset)

@@ -8,9 +8,9 @@ barely change within a thread-sorted run.  Rev 1.2 exploits exactly
 that: the persisted payload is the *columns* of the log, delta- and
 dictionary-transformed and LEB128-varint packed, in CRC-guarded
 blocks.  On the standard workloads the image shrinks 3-5x; decoding is
-one vectorised numpy pass per block, so ``open_log()`` and the
-analyzer consume rev 1.2 transparently through :class:`ColumnarLog`
-(which mirrors :class:`~repro.core.log.LogStream`'s read surface).
+one vectorised numpy pass per block, and
+:class:`~repro.core.log.LogImage` — the one reader — decodes rev 1.2
+transparently whenever the header carries ``FLAG_COMPRESSED``.
 
 Image layout (all integers little-endian u64 unless noted)::
 
@@ -49,7 +49,8 @@ from.
 Damage tolerance: every block carries its own CRC32, so salvage
 (:mod:`repro.core.recovery`) quarantines exactly the damaged block —
 `payload_len` lets the scan skip over it and keep every healthy block
-after it.
+after it.  :func:`scan_blocks` is the one walk of the block directory;
+the strict reader raises where salvage quarantines.
 
 Without numpy every path falls back to pure-Python loops — slower,
 byte-identical output.
@@ -57,6 +58,7 @@ byte-identical output.
 
 import struct
 import zlib
+from collections import namedtuple
 
 try:
     import numpy as _np
@@ -65,22 +67,19 @@ except ImportError:  # pragma: no cover - numpy is a hard dep in-tree
 
 from repro.core.errors import LogFormatError
 from repro.core.log import (
-    DEFAULT_CHUNK_ENTRIES,
     FLAG_COMPRESSED,
     FLAG_SEALED,
     HEADER_SIZE,
-    LogColumns,
     MAGIC,
     SharedLog,
+    LogImage,
     _ENTRY_SIZES,
     _HEADER,
-    _validate_header,
     _VERSION_SHIFT,
 )
 
 __all__ = [
     "COLUMNAR_MAGIC",
-    "ColumnarLog",
     "DEFAULT_CODEC_BLOCK",
     "decode_delta",
     "decode_dictionary",
@@ -356,12 +355,63 @@ def _decode_block_payload(payload, count, version):
     return tuple(columns)
 
 
-def _iter_source_columns(source):
-    """(kind, counter, addr, tid, call_site) for a whole log source."""
-    cols = source.columns()
-    if _np is not None:
-        return cols.as_arrays()
-    return cols.as_lists()
+#: One block directory entry: where the payload sits, how many entries
+#: it holds, and the CRC32 it must match.
+Block = namedtuple("Block", "payload_at count crc payload_len")
+
+
+def scan_blocks(buf):
+    """Walk a rev 1.2 image's block directory; no payload is touched.
+
+    Returns ``(blocks, damage)``: the :class:`Block` of every block
+    whose header and payload lie inside the image, in order, and
+    ``None`` — or, where the directory stops short (payload magic
+    missing, a block header or payload running off the end), a
+    message saying where.  The strict reader raises that message;
+    salvage keeps the blocks and quarantines the rest.
+    """
+    view = memoryview(buf)
+    magic_end = HEADER_SIZE + len(COLUMNAR_MAGIC)
+    if bytes(view[HEADER_SIZE:magic_end]) != COLUMNAR_MAGIC:
+        return [], (
+            f"missing columnar payload magic at offset {HEADER_SIZE} "
+            f"(expected {COLUMNAR_MAGIC!r})"
+        )
+    if len(view) < magic_end + _U64.size:
+        return [], "truncated before the block count"
+    (n_blocks,) = _U64.unpack_from(view, magic_end)
+    blocks = []
+    offset = magic_end + _U64.size
+    for index in range(n_blocks):
+        if offset + _BLOCK_HEADER.size > len(view):
+            return blocks, (
+                f"block {index} header truncated at offset {offset}"
+            )
+        payload_len, count, crc = _BLOCK_HEADER.unpack_from(view, offset)
+        payload_at = offset + _BLOCK_HEADER.size
+        if payload_at + payload_len > len(view):
+            return blocks, (
+                f"block {index} claims {payload_len} payload bytes at "
+                f"offset {payload_at}, image holds "
+                f"{len(view) - payload_at}"
+            )
+        blocks.append(Block(payload_at, count, crc, payload_len))
+        offset = payload_at + payload_len
+    return blocks, None
+
+
+def decode_block(payload, block, version):
+    """CRC-check and decode one block's `payload` (the bytes `block`
+    points at) into its column tuple ``(kind, counter, addr, tid,
+    call_site)``.  The decoded columns are fresh arrays: nothing keeps
+    the image pinned."""
+    if zlib.crc32(payload) != block.crc:
+        raise LogFormatError(
+            f"block CRC mismatch at offset {block.payload_at} "
+            f"({block.count} entries) — salvage with "
+            f"repro.core.recovery.recover_log"
+        )
+    return _decode_block_payload(payload, block.count, version)
 
 
 # ----------------------------------------------------------------------
@@ -371,10 +421,9 @@ def encode_log(source, block_entries=DEFAULT_CODEC_BLOCK,
                sort_by_thread=True):
     """Encode a log into a rev 1.2 compressed columnar image.
 
-    `source` is anything with the read surface of
-    :class:`~repro.core.log.SharedLog` / :class:`~repro.core.log.
-    LogStream` (a :class:`ColumnarLog` works too, so re-encoding is a
-    no-op round trip).  With `sort_by_thread` (default) entries are
+    `source` is any log source :meth:`~repro.core.log.LogImage.of`
+    accepts (a rev 1.2 image works too, so re-encoding is a no-op
+    round trip).  With `sort_by_thread` (default) entries are
     stable-sorted by thread id first: per-thread order — the only
     order the format guarantees — is preserved exactly, and counters
     become near-monotonic within each thread's run, which is where
@@ -387,7 +436,13 @@ def encode_log(source, block_entries=DEFAULT_CODEC_BLOCK,
         raise ValueError(
             f"block_entries must be positive: {block_entries}"
         )
-    kind, counter, addr, tid, call_site = _iter_source_columns(source)
+    with LogImage.of(source) as image:
+        header = image.header
+        cols = image.columns()
+    if _np is not None:
+        kind, counter, addr, tid, call_site = cols.as_arrays()
+    else:
+        kind, counter, addr, tid, call_site = cols.as_lists()
     total = len(kind)
     if sort_by_thread and total:
         if _np is not None:
@@ -405,19 +460,18 @@ def encode_log(source, block_entries=DEFAULT_CODEC_BLOCK,
             if call_site is not None:
                 call_site = [call_site[i] for i in order]
 
-    version = source.version
     # The header travels unchanged except: FLAG_COMPRESSED on, the
     # seal machinery off (block CRCs are rev 1.2's integrity story),
     # and the tail pinned to the encoded entry count.
-    flags = (source.flags | FLAG_COMPRESSED) & ~FLAG_SEALED
-    header = _HEADER.pack(
+    flags = (header.flags | FLAG_COMPRESSED) & ~FLAG_SEALED
+    words = _HEADER.pack(
         MAGIC,
-        flags | (version << _VERSION_SHIFT),
-        source.shm_base,
-        source.pid,
-        source.capacity,
+        flags | (header.version << _VERSION_SHIFT),
+        header.shm_base,
+        header.pid,
+        header.capacity,
         total,
-        source.profiler_addr,
+        header.profiler_addr,
         0,  # no seal watermark in rev 1.2
     )
     blocks = []
@@ -433,313 +487,28 @@ def encode_log(source, block_entries=DEFAULT_CODEC_BLOCK,
             )
         )
     return b"".join(
-        [header, COLUMNAR_MAGIC, _U64.pack(len(blocks))] + blocks
+        [words, COLUMNAR_MAGIC, _U64.pack(len(blocks))] + blocks
     )
 
 
-def decode_log(data):
-    """Fully decode a rev 1.2 image into a fixed-width
+def decode_log(source):
+    """Expand a log image into a fixed-width
     :class:`~repro.core.log.SharedLog` (rev 1.0 semantics, same
     entries in the image's order) — the convert-back path."""
-    with ColumnarLog(data) as log:
-        return log.to_shared_log()
-
-
-class ColumnarLog:
-    """A read-only rev 1.2 image with the :class:`~repro.core.log.
-    LogStream` read surface.
-
-    The header parses eagerly and the block directory is scanned once
-    (offsets, counts, CRCs — no payload is touched); columns decode
-    lazily, one block per vectorised pass, so
-    :meth:`iter_column_chunks` feeds the analyzer without ever
-    holding the expanded log.  CRC failures and malformed sections
-    raise :class:`LogFormatError` — the strict reader's contract;
-    tolerant salvage is :mod:`repro.core.recovery`'s job.
-    """
-
-    def __init__(self, buf, chunk_size=DEFAULT_CHUNK_ENTRIES, closer=None):
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive: {chunk_size}")
-        header = _validate_header(buf)
-        if not header[1] & FLAG_COMPRESSED:
-            raise LogFormatError(
-                "not a compressed image (FLAG_COMPRESSED clear) — use "
-                "SharedLog/LogStream for fixed-width rev 1.0/1.1 logs"
-            )
-        self._buf = buf
-        self._header = header
-        self._version = (header[1] >> _VERSION_SHIFT) & 0xFFFF
-        self._entry_size = _ENTRY_SIZES[self._version]
-        self.chunk_size = chunk_size
-        self._closer = closer
-        view = memoryview(buf)
-        magic_end = HEADER_SIZE + len(COLUMNAR_MAGIC)
-        if bytes(view[HEADER_SIZE:magic_end]) != COLUMNAR_MAGIC:
-            raise LogFormatError(
-                f"missing columnar payload magic at offset "
-                f"{HEADER_SIZE} (expected {COLUMNAR_MAGIC!r})"
-            )
-        if len(view) < magic_end + _U64.size:
-            raise LogFormatError("truncated before the block count")
-        (n_blocks,) = _U64.unpack_from(view, magic_end)
-        # The block directory: (byte offset, entry count, crc,
-        # payload_len) per block, bounds-checked during the scan.
-        self._blocks = []
-        offset = magic_end + _U64.size
-        for index in range(n_blocks):
-            if offset + _BLOCK_HEADER.size > len(view):
-                raise LogFormatError(
-                    f"block {index} header truncated at offset {offset}"
-                )
-            payload_len, count, crc = _BLOCK_HEADER.unpack_from(
-                view, offset
-            )
-            payload_at = offset + _BLOCK_HEADER.size
-            if payload_at + payload_len > len(view):
-                raise LogFormatError(
-                    f"block {index} claims {payload_len} payload bytes "
-                    f"at offset {payload_at}, image holds "
-                    f"{len(view) - payload_at}"
-                )
-            self._blocks.append((payload_at, count, crc, payload_len))
-            offset = payload_at + payload_len
-        self._count = sum(b[1] for b in self._blocks)
-
-    @classmethod
-    def open(cls, path, chunk_size=DEFAULT_CHUNK_ENTRIES):
-        """Open a rev 1.2 file through an ``mmap`` mapping (falling
-        back to an in-memory read where mapping is impossible)."""
-        import mmap
-
-        fh = open(path, "rb")
-        try:
-            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError):
-            data = fh.read()
-            fh.close()
-            return cls(data, chunk_size)
-        return cls(
-            buf, chunk_size, closer=lambda: (buf.close(), fh.close())
-        )
-
-    # ------------------------------------------------------------------
-    # Header accessors (the LogStream subset)
-
-    @property
-    def version(self):
-        return self._version
-
-    @property
-    def flags(self):
-        return self._header[1] & 0xFFFF
-
-    @property
-    def shm_base(self):
-        return self._header[2]
-
-    @property
-    def pid(self):
-        return self._header[3]
-
-    @property
-    def capacity(self):
-        return self._header[4]
-
-    @property
-    def tail(self):
-        return self._header[5]
-
-    @property
-    def profiler_addr(self):
-        return self._header[6]
-
-    @property
-    def multithread(self):
-        from repro.core.log import FLAG_MULTITHREAD
-
-        return bool(self.flags & FLAG_MULTITHREAD)
-
-    @property
-    def active(self):
-        from repro.core.log import FLAG_ACTIVE
-
-        return bool(self.flags & FLAG_ACTIVE)
-
-    @property
-    def entry_size(self):
-        return self._entry_size
-
-    @property
-    def sealed(self):
-        # Rev 1.2 has no seal journal; per-block CRCs guard integrity.
-        return False
-
-    @property
-    def seals(self):
-        return []
-
-    @property
-    def seal_watermark(self):
-        return self._header[7]
-
-    @property
-    def compressed(self):
-        return True
-
-    @property
-    def nbytes(self):
-        """Size of the compressed image in bytes."""
-        return len(self._buf)
-
-    @property
-    def block_count(self):
-        return len(self._blocks)
-
-    # ------------------------------------------------------------------
-    # Reading
-
-    def __len__(self):
-        return self._count
-
-    def _decode_block(self, index, start):
-        payload_at, count, crc, payload_len = self._blocks[index]
-        payload = memoryview(self._buf)[
-            payload_at : payload_at + payload_len
-        ]
-        if zlib.crc32(payload) != crc:
-            raise LogFormatError(
-                f"block {index} CRC mismatch at offset {payload_at} "
-                f"({count} entries) — salvage with "
-                f"repro.core.recovery.recover_log"
-            )
-        kind, counter, addr, tid, call_site = _decode_block_payload(
-            payload, count, self._version
-        )
-        return LogColumns(kind, counter, addr, tid, call_site, start)
-
-    def iter_column_chunks(self, chunk_size=None):
-        """Yield :class:`~repro.core.log.LogColumns` spans of at most
-        `chunk_size` — the analyzer's bulk-ingestion surface, decoded
-        one block at a time."""
-        chunk_size = chunk_size or self.chunk_size
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive: {chunk_size}")
-        start = 0
-        for index in range(len(self._blocks)):
-            cols = self._decode_block(index, start)
-            count = len(cols)
-            for at in range(0, count, chunk_size):
-                stop = min(at + chunk_size, count)
-                if at == 0 and stop == count:
-                    yield cols
-                else:
-                    call_site = (
-                        cols.call_site[at:stop]
-                        if cols.call_site is not None
-                        else None
-                    )
-                    yield LogColumns(
-                        cols.kind[at:stop],
-                        cols.counter[at:stop],
-                        cols.addr[at:stop],
-                        cols.tid[at:stop],
-                        call_site,
-                        start + at,
-                    )
-            start += count
-
-    # Interchangeable with SharedLog/LogStream for the analyzer.
-    column_chunks = iter_column_chunks
-
-    def iter_chunks(self, chunk_size=None):
-        """Yield entries as lists of at most `chunk_size`."""
-        for cols in self.iter_column_chunks(chunk_size):
-            yield cols.entries()
-
-    chunks = iter_chunks
-
-    def columns(self):
-        """The whole image decoded as one :class:`~repro.core.log.
-        LogColumns` span."""
-        spans = [
-            self._decode_block(i, 0) for i in range(len(self._blocks))
-        ]
-        spans = [s for s in spans if len(s)]
-        if not spans:
-            empty = [] if _np is None else _np.zeros(0, dtype=_np.uint64)
-            call_site = (
-                None if self._entry_size == 24
-                else ([] if _np is None else _np.zeros(0, dtype=_np.uint64))
-            )
-            return LogColumns(empty, empty, empty, empty, call_site, 0)
-        if len(spans) == 1:
-            return spans[0]
-        if _np is not None:
-            cat = _np.concatenate
-            call_site = (
-                cat([s.call_site for s in spans])
-                if spans[0].call_site is not None
-                else None
-            )
-            return LogColumns(
-                cat([s.kind for s in spans]),
-                cat([s.counter for s in spans]),
-                cat([s.addr for s in spans]),
-                cat([s.tid for s in spans]),
-                call_site,
-                0,
-            )
-        kind, counter, addr, tid = [], [], [], []
-        call_site = [] if spans[0].call_site is not None else None
-        for s in spans:
-            k, c, a, t, cs = s.as_lists()
-            kind.extend(k)
-            counter.extend(c)
-            addr.extend(a)
-            tid.extend(t)
-            if call_site is not None:
-                call_site.extend(cs)
-        return LogColumns(kind, counter, addr, tid, call_site, 0)
-
-    def __iter__(self):
-        for chunk in self.iter_chunks():
-            yield from chunk
-
-    def to_shared_log(self):
-        """Expand into a fixed-width :class:`~repro.core.log.
-        SharedLog` (the image's entry order, rev 1.0/1.1 flags)."""
+    with LogImage.of(source) as image:
+        header = image.header
         out = SharedLog.create(
-            max(1, self.capacity, self._count),
-            pid=self.pid,
-            profiler_addr=self.profiler_addr,
-            shm_base=self.shm_base,
-            multithread=self.multithread,
-            version=self._version,
+            max(1, header.capacity, len(image)),
+            pid=header.pid,
+            profiler_addr=header.profiler_addr,
+            shm_base=header.shm_base,
+            multithread=header.multithread,
+            version=header.version,
         )
-        for cols in self.iter_column_chunks():
+        for cols in image.column_chunks():
             out.append_columns(
                 cols.kind, cols.counter, cols.addr, cols.tid,
                 cols.call_site,
             )
-        out._store_tail()
-        return out
-
-    def close(self):
-        if self._closer is not None:
-            self._closer()
-            self._closer = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-    def __repr__(self):
-        return (
-            f"ColumnarLog(entries={self._count}, "
-            f"blocks={len(self._blocks)}, version={self._version}, "
-            f"nbytes={self.nbytes})"
-        )
+    out._store_tail()
+    return out

@@ -50,11 +50,17 @@ a truncated or garbage trailer never makes a log unreadable — salvage
 is :mod:`repro.core.recovery`'s job.  Sealing is off by default so
 unsealed images stay byte-for-byte what they always were.
 
-Reading has a columnar fast path: :func:`decode_columns` turns a span
-of raw entries into :class:`LogColumns` — one array per field
-(kind/counter/addr/tid/call-site), decoded with a single vectorised
-``numpy`` view when numpy is available — and :class:`LogEntry` objects
-are materialised lazily, only where a consumer asks for them.
+Reading has exactly one path.  :class:`LogHeader` parses the 64-byte
+header once; :class:`LogImage` is the read-only reader over any
+buffer (bytes, a memoryview over shared memory, an mmap of a file).
+The header's ``FLAG_COMPRESSED`` bit decides how the payload decodes
+— fixed-width slices (:func:`decode_columns`) or rev 1.2 codec blocks
+(:mod:`repro.core.columnar`) — and consumers never see the
+difference: they read :class:`LogColumns` spans (one array per field,
+decoded with a single vectorised ``numpy`` view when numpy is
+available) and materialise :class:`LogEntry` objects only where they
+ask for them.  :meth:`SharedLog.image` is the zero-copy image of a
+log still being written.
 """
 
 import mmap
@@ -139,28 +145,71 @@ class SealRecord:
         return self.start + self.count
 
 
-def _validate_header(buf):
-    """Parse and validate the 64-byte header, raising
-    :class:`LogFormatError` with byte-offset context on damage."""
-    if len(buf) < HEADER_SIZE:
-        raise LogFormatError(
-            f"log header is truncated: buffer holds {len(buf)} bytes, "
-            f"the header needs {HEADER_SIZE} (offset 0)"
-        )
-    header = _HEADER.unpack_from(buf, 0)
-    if header[0] != MAGIC:
-        raise LogFormatError(
-            f"bad magic at offset 0: 0x{header[0]:016x} "
-            f"(expected {bytes(MAGIC.to_bytes(8, 'little'))!r}) — "
-            f"not a TEE-Perf log"
-        )
-    version = (header[1] >> _VERSION_SHIFT) & 0xFFFF
-    if version not in _ENTRY_SIZES:
-        raise LogFormatError(
-            f"unsupported log version {version} in header word 1 "
-            f"(offset 8; known versions: {sorted(_ENTRY_SIZES)})"
-        )
-    return header
+def _header_word(index):
+    return property(lambda self: self.words[index])
+
+
+def _header_flag(bit):
+    return property(lambda self: bool(self.words[1] & bit))
+
+
+@dataclass(frozen=True)
+class LogHeader:
+    """The 64-byte header, parsed and validated once.
+
+    `words` holds the eight raw u64 header words; every field is
+    derived from them.
+    """
+
+    words: tuple
+
+    @classmethod
+    def parse(cls, buf):
+        """Parse and validate the header at the start of `buf`,
+        raising :class:`LogFormatError` with byte-offset context on
+        damage."""
+        if len(buf) < HEADER_SIZE:
+            raise LogFormatError(
+                f"log header is truncated: buffer holds {len(buf)} "
+                f"bytes, the header needs {HEADER_SIZE} (offset 0)"
+            )
+        words = _HEADER.unpack_from(buf, 0)
+        if words[0] != MAGIC:
+            raise LogFormatError(
+                f"bad magic at offset 0: 0x{words[0]:016x} "
+                f"(expected {bytes(MAGIC.to_bytes(8, 'little'))!r}) — "
+                f"not a TEE-Perf log"
+            )
+        version = (words[1] >> _VERSION_SHIFT) & 0xFFFF
+        if version not in _ENTRY_SIZES:
+            raise LogFormatError(
+                f"unsupported log version {version} in header word 1 "
+                f"(offset 8; known versions: {sorted(_ENTRY_SIZES)})"
+            )
+        return cls(words)
+
+    @property
+    def flags(self):
+        return self.words[1] & 0xFFFF
+
+    @property
+    def version(self):
+        return (self.words[1] >> _VERSION_SHIFT) & 0xFFFF
+
+    @property
+    def entry_size(self):
+        return _ENTRY_SIZES[self.version]
+
+    shm_base = _header_word(2)
+    pid = _header_word(3)
+    capacity = _header_word(4)
+    tail = _header_word(5)
+    profiler_addr = _header_word(6)
+    seal_watermark = _header_word(7)
+    active = _header_flag(FLAG_ACTIVE)
+    multithread = _header_flag(FLAG_MULTITHREAD)
+    sealed = _header_flag(FLAG_SEALED)
+    compressed = _header_flag(FLAG_COMPRESSED)
 
 
 def _merge_intervals(intervals):
@@ -210,10 +259,6 @@ DEFAULT_CHUNK_ENTRIES = 8192
 # Entries a ThreadLogWriter stages before committing a block: one
 # fetch-and-add and one blit per 256 events.
 DEFAULT_WRITER_BLOCK = 256
-
-# On-disk logs at or above this size are opened as mmap-backed
-# LogStreams by default; smaller ones are cheaper to slurp whole.
-DEFAULT_MMAP_THRESHOLD = 1 << 20  # 1 MiB
 
 
 @dataclass(frozen=True)
@@ -320,29 +365,61 @@ class LogColumns:
     def __iter__(self):
         return iter(self.entries())
 
+    def slice(self, lo, hi):
+        """Entries ``[lo, hi)`` of this span as a span of their own."""
+        call_site = self.call_site
+        return LogColumns(
+            self.kind[lo:hi], self.counter[lo:hi], self.addr[lo:hi],
+            self.tid[lo:hi],
+            call_site[lo:hi] if call_site is not None else None,
+            self.start + lo,
+        )
 
-def decode_columns(buf, version, start, count, copy=False):
-    """Decode `count` consecutive entries at index `start` into columns.
+    @staticmethod
+    def concat(spans):
+        """Consecutive spans joined into one (at least one span)."""
+        if len(spans) == 1:
+            return spans[0]
+        if _np is not None:
+            join = _np.concatenate
+        else:
+            def join(cols):
+                return [value for col in cols for value in col]
+        fields = [
+            join([getattr(s, name) for s in spans])
+            for name in ("kind", "counter", "addr", "tid")
+        ]
+        call_site = (
+            join([s.call_site for s in spans])
+            if spans[0].call_site is not None
+            else None
+        )
+        return LogColumns(*fields, call_site, spans[0].start)
 
-    The bulk read path shared by :meth:`SharedLog.iter_column_chunks`
-    and :meth:`LogStream.column_chunks`: one ``numpy.frombuffer`` view
-    reshaped to (count, words) and sliced per field — no per-entry
-    Python work at all.  Falls back to a single ``iter_unpack`` sweep
-    when numpy is unavailable.
 
-    With ``copy=True`` the columns are materialised (one vectorised
-    memcpy) instead of viewing `buf` — required when `buf` must stay
-    closeable, e.g. an ``mmap`` held by a :class:`LogStream`.
+def decode_columns(buf, version, start, count):
+    """Decode `count` consecutive fixed-width entries at index `start`
+    of the image in `buf` into columns.
+
+    One ``numpy.frombuffer`` view reshaped to (count, words) and
+    sliced per field — no per-entry Python work at all.  Falls back to
+    a single ``iter_unpack`` sweep when numpy is unavailable.  The
+    columns view `buf`.
     """
     entry_size = _ENTRY_SIZES[version]
     offset = HEADER_SIZE + start * entry_size
-    view = memoryview(buf)[offset : offset + count * entry_size]
+    return _decode_span(
+        memoryview(buf)[offset : offset + count * entry_size],
+        entry_size, start,
+    )
+
+
+def _decode_span(view, entry_size, start):
+    """Decode the raw entries in `view` (a whole number of them)."""
+    count = len(view) // entry_size
     if _np is not None:
         words = entry_size // 8
         mat = _np.frombuffer(view, dtype="<u8").reshape(count, words)
-        if copy:
-            mat = mat.copy()
-            view.release()
         word0 = mat[:, 0]
         kind = (word0 >> _np.uint64(63)).astype(_np.uint64)
         counter = word0 & _np.uint64(COUNTER_MASK)
@@ -363,18 +440,9 @@ def decode_columns(buf, version, start, count, copy=False):
     return LogColumns(kind, counter, addr, tid, call_site, start)
 
 
-def _decode_entries(buf, version, start, count):
-    """Decode `count` consecutive entries beginning at index `start`.
-
-    Object materialisation over the columnar fast path — kept for the
-    consumers that genuinely want :class:`LogEntry` objects
-    (:meth:`SharedLog.iter_chunks`, :class:`LogStream` iteration).
-    """
-    return decode_columns(buf, version, start, count).entries()
-
-
 class SharedLog:
-    """The shared-memory log: header + append-only entry array.
+    """The shared-memory log: header + append-only entry array — the
+    write side.
 
     The buffer is a plain ``bytearray`` by default; in live mode real
     threads append concurrently (reservation is GIL-atomic), in
@@ -384,36 +452,32 @@ class SharedLog:
     a true ``multiprocessing.shared_memory`` segment instead: another
     process can :meth:`attach` by name and read (or append to) the very
     same bytes — the fleet's producer fast path hands segments over
-    without ever serialising them.  :meth:`view` wraps an existing
-    image (bytes, a memoryview, an mmap) *without copying*; such a log
-    is read-only, which is all salvage and analysis need.
+    without ever serialising them.  Reading is :meth:`image`'s job: a
+    zero-copy :class:`LogImage` over the log's own buffer.
     """
 
     def __init__(self, buf, shm=None):
-        header = _validate_header(buf)
-        if header[1] & FLAG_COMPRESSED:
+        header = LogHeader.parse(buf)
+        if header.compressed:
             raise LogFormatError(
-                "compressed (rev 1.2) image: the payload is columnar "
-                "blocks, not a fixed-width entry array — open it with "
-                "repro.core.columnar.ColumnarLog (open_log() dispatches "
-                "automatically)"
+                "compressed (rev 1.2) image: the payload is codec "
+                "blocks, not a fixed-width entry array a writer can "
+                "append to — read it with LogImage"
             )
         self._buf = buf
         self._shm = shm
-        version = (header[1] >> _VERSION_SHIFT) & 0xFFFF
-        self._entry_size = _ENTRY_SIZES[version]
-        self._capacity = header[4]
+        self._entry_size = header.entry_size
+        self._capacity = header.capacity
         # Where the entry array ends (and a seal journal, if any,
-        # begins).  A truncated image may stop short of it; complete
-        # entries actually present clip every read path so a damaged
-        # file never turns into a bare struct/ValueError mid-decode.
+        # begins).  A buffer short of it exposes only the complete
+        # entries actually present.
         self._array_end = min(
             len(buf), HEADER_SIZE + self._capacity * self._entry_size
         )
         self._present = (self._array_end - HEADER_SIZE) // self._entry_size
         self._seals = (
             _parse_seal_journal(buf, self._array_end, self._capacity)
-            if header[1] & FLAG_SEALED
+            if header.sealed
             else []
         )
         self._sealed_intervals = _merge_intervals(
@@ -432,17 +496,18 @@ class SharedLog:
         # _measures_mirror holds the pre-shifted event-mask bits —
         # ``mirror[kind]`` is truthy iff the mask admits that kind.
         # Both kept in sync by _set_word.
-        self._flags_mirror = [header[1]]
+        flags = header.words[1]
+        self._flags_mirror = [flags]
         self._measures_mirror = [
-            header[1] & FLAG_MASK_CALLS,
-            header[1] & FLAG_MASK_RETS,
+            flags & FLAG_MASK_CALLS,
+            flags & FLAG_MASK_RETS,
         ]
         # The tail: the paper's single atomic fetch-and-add, modelled
         # by an integer bumped inside a two-bytecode critical section
         # (shared by per-event and block reservation, so blocks stay
         # contiguous under concurrency).
         self._tail_lock = threading.Lock()
-        self._next_free = self.tail
+        self._next_free = header.tail
         self.dropped = 0
 
     # ------------------------------------------------------------------
@@ -517,24 +582,6 @@ class SharedLog:
         return cls(buf, shm=seg)
 
     @classmethod
-    def from_bytes(cls, data):
-        """Wrap an existing log image (e.g. read back from disk)."""
-        return cls(bytearray(data))
-
-    @classmethod
-    def view(cls, data):
-        """Wrap an existing image **without copying** it.
-
-        `data` may be ``bytes``, a ``memoryview`` (e.g. over a shared
-        -memory segment), an ``mmap`` — anything with the buffer
-        protocol.  The resulting log is read-only unless the
-        underlying buffer is writable; salvage and analysis, which
-        only read, use this to avoid materialising a second copy of
-        a large image.
-        """
-        return cls(data)
-
-    @classmethod
     def attach(cls, name):
         """Attach to a log living in a named shared-memory segment
         (the other half of ``create(shm=True)``).
@@ -546,11 +593,13 @@ class SharedLog:
         from multiprocessing import shared_memory
 
         seg = shared_memory.SharedMemory(name=name)
-        header = _validate_header(seg.buf)
-        version = (header[1] >> _VERSION_SHIFT) & 0xFFFF
-        size = HEADER_SIZE + header[4] * _ENTRY_SIZES[version]
-        buf = memoryview(seg.buf)[: min(size, len(seg.buf))]
-        return cls(buf, shm=seg)
+        try:
+            header = LogHeader.parse(seg.buf)
+        except LogFormatError:
+            seg.close()
+            raise
+        size = HEADER_SIZE + header.capacity * header.entry_size
+        return cls(memoryview(seg.buf)[: min(size, len(seg.buf))], shm=seg)
 
     @property
     def shm_name(self):
@@ -583,12 +632,6 @@ class SharedLog:
                 seg.unlink()
             except FileNotFoundError:
                 pass
-
-    @classmethod
-    def load(cls, path):
-        """Read a persisted log file."""
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
 
     def dump(self, path):
         """Persist the log (what the recorder wrapper does after a run)."""
@@ -636,32 +679,14 @@ class SharedLog:
             mirror[1] = value & FLAG_MASK_RETS
 
     @property
-    def flags(self):
-        return self._word(1) & 0xFFFF
-
-    @property
-    def version(self):
-        return (self._word(1) >> _VERSION_SHIFT) & 0xFFFF
-
-    @property
-    def shm_base(self):
-        return self._word(2)
-
-    @property
-    def pid(self):
-        return self._word(3)
+    def header(self):
+        """The header as it stands now (the live tail stored first)."""
+        self._store_tail()
+        return LogHeader.parse(self._buf)
 
     @property
     def capacity(self):
         return self._capacity
-
-    @property
-    def tail(self):
-        return self._word(5)
-
-    @property
-    def profiler_addr(self):
-        return self._word(6)
 
     def set_profiler_addr(self, addr):
         """The recorder stores the well-known function address here."""
@@ -672,7 +697,7 @@ class SharedLog:
 
     @property
     def active(self):
-        return bool(self.flags & FLAG_ACTIVE)
+        return bool(self._word(1) & FLAG_ACTIVE)
 
     def set_active(self, active):
         """Flip the ACTIVE flag (atomic on real hardware; here the GIL
@@ -685,17 +710,13 @@ class SharedLog:
         self._set_word(1, word)
 
     @property
-    def multithread(self):
-        return bool(self.flags & FLAG_MULTITHREAD)
-
-    @property
     def entry_size(self):
         return self._entry_size
 
     def measures(self, kind):
         """Whether the event mask admits this event kind."""
         flag = FLAG_MASK_CALLS if kind == KIND_CALL else FLAG_MASK_RETS
-        return bool(self.flags & flag)
+        return bool(self._word(1) & flag)
 
     def set_event_mask(self, calls=True, rets=True):
         """Choose which events are measured — changeable while the
@@ -714,7 +735,7 @@ class SharedLog:
     @property
     def sealed(self):
         """Whether this log records sealed segments (flag bit 4)."""
-        return bool(self.flags & FLAG_SEALED)
+        return bool(self._word(1) & FLAG_SEALED)
 
     @property
     def seals(self):
@@ -928,82 +949,30 @@ class SharedLog:
         return granted
 
     # ------------------------------------------------------------------
-    # Reading (the analyzer's side)
+    # Reading: hand out an image
 
     def __len__(self):
-        return self._readable()
-
-    def _readable(self):
-        """Complete entries a reader may decode: the live tail,
-        clipped by capacity (the dismissal rule) and by the complete
-        entries actually present in the buffer (a truncated or
-        mid-write image may be short of its own tail)."""
+        """Complete entries committed so far: the live tail, clipped
+        by capacity (the dismissal rule) and by the entries the buffer
+        holds."""
         return min(self.tail_or_live(), self._capacity, self._present)
 
     def tail_or_live(self):
         """Entries written: live reservation counter or stored tail,
         whichever has advanced further."""
-        return max(self._next_free, self.tail)
+        return max(self._next_free, self._word(5))
 
-    def entry(self, index):
-        """Decode entry `index` (layout chosen by the header version)."""
-        if index >= self._readable():
-            raise IndexError(f"entry {index} past end of log")
-        offset = HEADER_SIZE + index * self._entry_size
-        call_site = 0
-        if self._entry_size == ENTRY_SIZE_V2:
-            word0, addr, tid, call_site = _ENTRY_V2.unpack_from(
-                self._buf, offset
-            )
-        else:
-            word0, addr, tid = _ENTRY.unpack_from(self._buf, offset)
-        kind = KIND_RET if word0 & _KIND_BIT else KIND_CALL
-        return LogEntry(kind, word0 & COUNTER_MASK, addr, tid, call_site)
-
-    def __iter__(self):
-        for index in range(self._readable()):
-            yield self.entry(index)
-
-    def iter_chunks(self, chunk_size=DEFAULT_CHUNK_ENTRIES):
-        """Yield entries as lists of at most `chunk_size`, in log order.
-
-        The streaming analyzer's ingestion path: decoding happens one
-        chunk at a time (bulk ``iter_unpack``), so a consumer never
-        holds more than `chunk_size` decoded entries per chunk.
-        """
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive: {chunk_size}")
-        total = self._readable()
-        for start in range(0, total, chunk_size):
-            yield _decode_entries(
-                self._buf, self.version, start, min(chunk_size, total - start)
-            )
-
-    def iter_column_chunks(self, chunk_size=DEFAULT_CHUNK_ENTRIES):
-        """Yield :class:`LogColumns` spans of at most `chunk_size`.
-
-        The analyzer's bulk-ingestion path: no :class:`LogEntry`
-        objects are built — each span is one vectorised decode.
-        """
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive: {chunk_size}")
-        total = self._readable()
-        for start in range(0, total, chunk_size):
-            yield decode_columns(
-                self._buf, self.version, start, min(chunk_size, total - start)
-            )
-
-    def columns(self):
-        """The whole log decoded as one :class:`LogColumns` span."""
-        return decode_columns(self._buf, self.version, 0, self._readable())
+    def image(self):
+        """A zero-copy, read-only :class:`LogImage` of the entries
+        committed so far (the tail is stored first; a sealed log's
+        in-memory journal travels with it)."""
+        self._store_tail()
+        return LogImage(self._buf, seals=self._seals)
 
     def _store_tail(self):
-        # tail_or_live, not _next_free: an attached reader whose
+        # tail_or_live, not _next_free: an attached log whose
         # reservation counter was snapshotted before the owner stored
-        # its tail must never regress the shared header word.  The
-        # equality guard skips the no-op store, so a read-only view
-        # (SharedLog.view over bytes or foreign shared memory) — which
-        # never appended — needs no writable buffer.
+        # its tail must never regress the shared header word.
         value = min(self.tail_or_live(), self._capacity)
         if value != self._word(5):
             self._set_word(5, value)
@@ -1223,214 +1192,161 @@ class ThreadLogWriter:
         )
 
 
-def is_compressed_image(data):
-    """True when a bytes-like image carries rev 1.2 compressed
-    columnar payload (valid magic and ``FLAG_COMPRESSED`` set)."""
-    if len(data) < 16:
-        return False
-    magic, word1 = struct.unpack_from("<2Q", data, 0)
-    return magic == MAGIC and bool(word1 & FLAG_COMPRESSED)
+class LogImage:
+    """A read-only TEE-Perf log image over any buffer — the one reader.
 
+    `buf` may be ``bytes``, a ``bytearray``, a ``memoryview`` (e.g.
+    over a shared-memory segment) or an ``mmap``; nothing is copied
+    up front.  The header parses once into :attr:`header`, and its
+    ``FLAG_COMPRESSED`` bit picks the payload decoding: fixed-width
+    entry slices (rev 1.0/1.1, clipped to the complete entries the
+    buffer holds, seal journal parsed tolerantly into :attr:`seals`)
+    or rev 1.2 codec blocks (:mod:`repro.core.columnar`, one
+    vectorised decode per block).
 
-def open_log(path, mmap_threshold=DEFAULT_MMAP_THRESHOLD,
-             chunk_size=DEFAULT_CHUNK_ENTRIES):
-    """Open a persisted log read-optimally for its size.
+    Every read goes through :meth:`column_chunks`; :meth:`columns`
+    and iteration are built on it.  Columns view the buffer, except
+    over an ``mmap``: those are copies, so :meth:`close` can always
+    unmap, whatever the caller still holds.
 
-    Files at or above `mmap_threshold` bytes come back as a
-    mmap-backed :class:`LogStream` (the kernel pages entries in as
-    they are decoded — nothing is slurped); smaller files are loaded
-    whole as a :class:`SharedLog`, which is cheaper than a mapping for
-    logs that fit comfortably in memory.  Pass ``mmap_threshold=0`` to
-    always stream, or ``float("inf")`` to always load.
-
-    Compressed rev 1.2 images (``FLAG_COMPRESSED``) dispatch to a
-    :class:`repro.core.columnar.ColumnarLog`, which exposes the same
-    read surface — consumers never notice the format.
-    """
-    try:
-        size = os.path.getsize(path)
-    except OSError:
-        size = 0
-    if size >= 16:
-        with open(path, "rb") as fh:
-            head = fh.read(16)
-        if is_compressed_image(head):
-            from repro.core.columnar import ColumnarLog
-
-            return ColumnarLog.open(path, chunk_size)
-    if size >= mmap_threshold:
-        return LogStream.open(path, chunk_size)
-    return SharedLog.load(path)
-
-
-class LogStream:
-    """A read-only, chunked view of a persisted log.
-
-    Where :class:`SharedLog` materialises the whole image in a
-    ``bytearray``, a stream parses the 64-byte header eagerly and
-    decodes entries lazily in fixed-size chunks, so the analyzer can
-    keep up with logs far larger than memory: :meth:`open` maps the
-    file with ``mmap`` (the kernel pages the log in and out as chunks
-    are decoded) and :meth:`chunks` never holds more than one decoded
-    chunk at a time.
-
-    Header accessors mirror :class:`SharedLog`; the write side does
-    not exist here by design.
+    Damage is a strict reader's business: a rev 1.2 block that fails
+    its CRC or will not decode, or a block directory that stops short
+    of the image, raises :class:`LogFormatError` when read.  Salvage
+    (:mod:`repro.core.recovery`) quarantines exactly those blocks.
     """
 
-    def __init__(self, buf, chunk_size=DEFAULT_CHUNK_ENTRIES, closer=None):
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive: {chunk_size}")
-        header = _validate_header(buf)
-        if header[1] & FLAG_COMPRESSED:
-            raise LogFormatError(
-                "compressed (rev 1.2) image: use "
-                "repro.core.columnar.ColumnarLog (open_log() "
-                "dispatches automatically)"
-            )
-        version = (header[1] >> _VERSION_SHIFT) & 0xFFFF
+    def __init__(self, buf, seals=None, closer=None):
+        header = LogHeader.parse(buf)
+        self.header = header
         self._buf = buf
-        self._header = header
-        self._version = version
-        self._entry_size = _ENTRY_SIZES[version]
-        self.chunk_size = chunk_size
         self._closer = closer
-        # Entries available: the stored tail, clipped by capacity (the
-        # analyzer's dismissal rule) and by the bytes actually present
-        # (a snapshot taken mid-write may be short).
-        in_buffer = (len(buf) - HEADER_SIZE) // self._entry_size
-        self._count = min(header[5], header[4], in_buffer)
-        array_end = min(
-            len(buf), HEADER_SIZE + header[4] * self._entry_size
-        )
-        self._seals = (
-            _parse_seal_journal(buf, array_end, header[4])
-            if header[1] & FLAG_SEALED
-            else []
-        )
+        self._copy = isinstance(buf, mmap.mmap)
+        if header.compressed:
+            from repro.core.columnar import scan_blocks
+
+            self.seals = []
+            self._blocks, self._damage = scan_blocks(buf)
+            self._count = sum(block.count for block in self._blocks)
+            return
+        self._blocks = None
+        es = header.entry_size
+        # Where the entry array ends (and a seal journal, if any,
+        # begins).  A truncated image may stop short of it; only the
+        # complete entries present are readable.
+        self._array_end = min(len(buf), HEADER_SIZE + header.capacity * es)
+        self._present = (self._array_end - HEADER_SIZE) // es
+        self._count = min(header.tail, header.capacity, self._present)
+        if seals is None:
+            seals = (
+                _parse_seal_journal(buf, self._array_end, header.capacity)
+                if header.sealed
+                else []
+            )
+        self.seals = list(seals)
 
     @classmethod
-    def open(cls, path, chunk_size=DEFAULT_CHUNK_ENTRIES):
-        """Stream a persisted log file through an ``mmap`` mapping.
-
-        Falls back to reading the file into memory where mapping is
-        impossible (empty file, exotic filesystem).
-        """
-        fh = open(path, "rb")
+    def open(cls, path):
+        """Map a persisted log file (read in whole where mapping is
+        impossible: an empty file, an exotic filesystem)."""
+        with open(path, "rb") as fh:
+            try:
+                buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except (ValueError, OSError):
+                return cls(fh.read())
         try:
-            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError):
-            data = fh.read()
-            fh.close()
-            return cls(data, chunk_size)
-        return cls(buf, chunk_size, closer=lambda: (buf.close(), fh.close()))
+            return cls(buf, closer=buf.close)
+        except LogFormatError:
+            buf.close()
+            raise
 
-    # ------------------------------------------------------------------
-    # Header accessors (the SharedLog subset a reader needs)
-
-    @property
-    def version(self):
-        return self._version
-
-    @property
-    def flags(self):
-        return self._header[1] & 0xFFFF
-
-    @property
-    def shm_base(self):
-        return self._header[2]
-
-    @property
-    def pid(self):
-        return self._header[3]
-
-    @property
-    def capacity(self):
-        return self._header[4]
+    @classmethod
+    def of(cls, source):
+        """A zero-copy image of any log source: a :class:`SharedLog`'s
+        :meth:`~SharedLog.image`, a mapped file for a path, or a view
+        of a buffer or of another image.  Closing it releases only what
+        this call opened, so ``with LogImage.of(source) as image:``
+        is right for every source."""
+        if isinstance(source, LogImage):
+            return cls(source._buf, seals=source.seals)
+        if isinstance(source, SharedLog):
+            return source.image()
+        if isinstance(source, (str, os.PathLike)):
+            return cls.open(source)
+        try:
+            memoryview(source).release()
+        except TypeError:
+            raise TypeError(
+                f"cannot read a log from {type(source).__name__}"
+            ) from None
+        return cls(source)
 
     @property
-    def tail(self):
-        return self._header[5]
-
-    @property
-    def profiler_addr(self):
-        return self._header[6]
-
-    @property
-    def multithread(self):
-        return bool(self.flags & FLAG_MULTITHREAD)
-
-    @property
-    def active(self):
-        return bool(self.flags & FLAG_ACTIVE)
-
-    @property
-    def entry_size(self):
-        return self._entry_size
-
-    @property
-    def sealed(self):
-        return bool(self.flags & FLAG_SEALED)
-
-    @property
-    def seals(self):
-        """The seal journal parsed from the image trailer."""
-        return list(self._seals)
-
-    @property
-    def seal_watermark(self):
-        return self._header[7]
-
-    # ------------------------------------------------------------------
-    # Reading
+    def nbytes(self):
+        """Size of the image in bytes."""
+        return len(self._buf)
 
     def __len__(self):
         return self._count
 
-    def chunks(self, chunk_size=None):
-        """Yield entries as lists of at most `chunk_size`, in log order."""
-        chunk_size = chunk_size or self.chunk_size
+    def _raw(self, start, stop):
+        """Bytes ``[start, stop)`` of the image: a copy over an mmap
+        (no view of the mapping may outlive a read, not even in an
+        exception's traceback, or close() could not unmap), a view
+        otherwise."""
+        if self._copy:
+            return self._buf[start:stop]
+        return memoryview(self._buf)[start:stop]
+
+    def _span(self, start, count):
+        """Fixed-width entries ``[start, start + count)`` as columns."""
+        es = self.header.entry_size
+        offset = HEADER_SIZE + start * es
+        return _decode_span(self._raw(offset, offset + count * es), es,
+                            start)
+
+    def _payload(self, block):
+        """The payload bytes of one rev 1.2 codec block."""
+        return self._raw(block.payload_at,
+                         block.payload_at + block.payload_len)
+
+    def _decode_block(self, block, start):
+        from repro.core.columnar import decode_block
+
+        return LogColumns(
+            *decode_block(self._payload(block), block,
+                          self.header.version),
+            start,
+        )
+
+    def column_chunks(self, chunk_size=DEFAULT_CHUNK_ENTRIES):
+        """Yield :class:`LogColumns` spans of at most `chunk_size`
+        entries, in log order — no :class:`LogEntry` objects are
+        built."""
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be positive: {chunk_size}")
-        for start in range(0, self._count, chunk_size):
-            yield _decode_entries(
-                self._buf,
-                self._version,
-                start,
-                min(chunk_size, self._count - start),
-            )
-
-    # `iter_chunks` so SharedLog and LogStream are interchangeable to
-    # the analyzer's ingestion loop.
-    iter_chunks = chunks
-
-    def column_chunks(self, chunk_size=None):
-        """Yield :class:`LogColumns` spans of at most `chunk_size` —
-        the vectorised counterpart of :meth:`chunks`."""
-        chunk_size = chunk_size or self.chunk_size
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive: {chunk_size}")
-        for start in range(0, self._count, chunk_size):
-            # copy=True: the columns must not pin the mmap — callers may
-            # hold them (analyzer shards do) after the stream closes.
-            yield decode_columns(
-                self._buf,
-                self._version,
-                start,
-                min(chunk_size, self._count - start),
-                copy=True,
-            )
-
-    # Interchangeable with SharedLog for the analyzer's column path.
-    iter_column_chunks = column_chunks
+        if self._blocks is None:
+            for start in range(0, self._count, chunk_size):
+                yield self._span(start, min(chunk_size, self._count - start))
+            return
+        if self._damage:
+            raise LogFormatError(self._damage)
+        start = 0
+        for block in self._blocks:
+            cols = self._decode_block(block, start)
+            count = len(cols)
+            for at in range(0, count, chunk_size):
+                stop = min(at + chunk_size, count)
+                yield cols if stop - at == count else cols.slice(at, stop)
+            start += count
 
     def columns(self):
-        """The whole stream decoded as one :class:`LogColumns` span."""
-        return decode_columns(self._buf, self._version, 0, self._count, copy=True)
+        """The whole image decoded as one :class:`LogColumns` span."""
+        spans = list(self.column_chunks(max(1, self._count)))
+        return LogColumns.concat(spans) if spans else self._span(0, 0)
 
     def __iter__(self):
-        for chunk in self.chunks():
-            yield from chunk
+        for cols in self.column_chunks():
+            yield from cols.entries()
 
     def close(self):
         if self._closer is not None:
@@ -1446,6 +1362,14 @@ class LogStream:
 
     def __repr__(self):
         return (
-            f"LogStream(entries={self._count}/{self.capacity}, "
-            f"version={self._version}, chunk_size={self.chunk_size})"
+            f"LogImage(entries={self._count}/{self.header.capacity}, "
+            f"version={self.header.version}, "
+            f"compressed={self.header.compressed})"
         )
+
+
+def open_log(path):
+    """Open a persisted log file as an mmap-backed :class:`LogImage`
+    (fixed-width or rev 1.2 alike — the header decides).  Close it, or
+    use it as a context manager, when done."""
+    return LogImage.open(path)

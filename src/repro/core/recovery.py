@@ -34,23 +34,23 @@ which keeps salvaged-prefix analysis byte-identical to analysing the
 undamaged prefix.
 """
 
-import os
-import struct
 import zlib
 from dataclasses import dataclass, field
 
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy is a hard dep in-tree
+    _np = None
+
+from repro.core.columnar import decode_block
 from repro.core.errors import LogFormatError, RecoveryError
 from repro.core.log import (
-    FLAG_MULTITHREAD,
     HEADER_SIZE,
     KIND_CALL,
     KIND_RET,
-    LogStream,
+    LogImage,
     SharedLog,
     _merge_intervals,
-    _validate_header,
-    _VERSION_SHIFT,
-    is_compressed_image,
 )
 
 #: Valid ``recover=`` modes for :meth:`repro.core.analyzer.Analyzer.analyze`:
@@ -197,61 +197,31 @@ def _subtract(intervals, holes):
     return out
 
 
-def _coerce(source):
-    """Normalise any log source for salvage, without copying.
-
-    Fixed-width images come back as a tolerantly-parsed, *read-only*
-    :class:`SharedLog` view over the caller's buffer (salvage never
-    mutates its input — the rebuilt log is a fresh allocation), so the
-    fleet shm fast path hands segments straight in as ``memoryview``
-    with zero serialisation.  Rev 1.2 compressed images come back as a
-    ``memoryview`` for :func:`_recover_columnar` to block-scan.
-    """
-    if isinstance(source, SharedLog):
-        return source
-    if isinstance(source, LogStream):
-        source = source._buf
-    else:
-        from repro.core.columnar import ColumnarLog
-
-        if isinstance(source, ColumnarLog):
-            source = source._buf
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as fh:
-            source = fh.read()
-    try:
-        view = memoryview(source)
-    except TypeError:
-        raise TypeError(
-            f"cannot recover from {type(source).__name__}"
-        ) from None
-    if is_compressed_image(view):
-        return view
-    return SharedLog.view(view)
-
-
-def _salvage_plan(log):
-    """Classify the entry array into salvage intervals and quarantined
-    ranges; returns ``(salvage, report)`` with `salvage` a sorted list
-    of half-open entry-index intervals."""
-    es = log.entry_size
-    present = log._present
-    extent = min(log.tail_or_live(), log.capacity)
+def _salvage_plan(image):
+    """Classify a fixed-width image's entry array into salvage
+    intervals and quarantined ranges; returns ``(salvage, report)``
+    with `salvage` a sorted list of half-open entry-index intervals."""
+    header = image.header
+    es = header.entry_size
+    present = image._present
+    extent = min(header.tail, header.capacity)
     readable = min(extent, present)
     report = RecoveryReport(
-        sealed=log.sealed,
-        capacity=log.capacity,
+        sealed=header.sealed,
+        capacity=header.capacity,
         tail=extent,
         present=present,
-        watermark=log.seal_watermark,
-        segments_sealed=len(log._seals),
+        watermark=header.seal_watermark,
+        segments_sealed=len(image.seals),
     )
 
-    if log.sealed:
+    if header.sealed:
         valid, bad = [], []
-        for r in log._seals:
+        for r in image.seals:
             if r.end <= present:
-                if log._crc_block(r.start, r.count) == r.crc:
+                raw = image._raw(HEADER_SIZE + r.start * es,
+                                 HEADER_SIZE + r.end * es)
+                if zlib.crc32(raw) == r.crc:
                     if r.start < readable:
                         valid.append((r.start, min(r.end, readable)))
                         report.segments_recovered += 1
@@ -262,7 +232,7 @@ def _salvage_plan(log):
             # A seal past the bytes present cannot be CRC-verified;
             # its surviving prefix may still ride the watermark rule.
         bad = _merge_intervals(bad)
-        watermark = min(log.seal_watermark, readable)
+        watermark = min(header.seal_watermark, readable)
         salvage = _merge_intervals(
             valid + _subtract([(0, watermark)] if watermark else [], bad)
         )
@@ -270,7 +240,7 @@ def _salvage_plan(log):
         salvage = [(0, readable)] if readable else []
 
     for start, end in _subtract([(0, readable)] if readable else [], salvage):
-        overlaps_bad = log.sealed and any(
+        overlaps_bad = header.sealed and any(
             hs < end and he > start for hs, he in bad
         )
         report.quarantined.append(
@@ -285,7 +255,7 @@ def _salvage_plan(log):
 
     # Beyond the bytes present: a torn partial entry, then pure
     # truncation up to what the tail claims.
-    leftover = (log._array_end - HEADER_SIZE) - present * es
+    leftover = (image._array_end - HEADER_SIZE) - present * es
     if leftover:
         torn_count = 1 if extent > present else 0
         report.quarantined.append(
@@ -293,7 +263,7 @@ def _salvage_plan(log):
                 present,
                 torn_count,
                 HEADER_SIZE + present * es,
-                log._array_end,
+                image._array_end,
                 REASON_TORN,
             )
         )
@@ -314,147 +284,118 @@ def _salvage_plan(log):
     return salvage, report
 
 
-def _tally_threads(log, intervals, counts):
-    """Add per-thread entry counts over `intervals` into `counts`."""
-    for start, end in intervals:
-        for index in range(start, end):
-            tid = log.entry(index).tid
-            counts[tid] = counts.get(tid, 0) + 1
+def _tally(tids, counts):
+    """Add per-thread entry counts of one `tid` column into `counts`."""
+    if _np is not None:
+        uniq, n = _np.unique(_np.asarray(tids, dtype=_np.uint64),
+                             return_counts=True)
+        pairs = zip(uniq.tolist(), n.tolist())
+    else:
+        pairs = ((int(t), 1) for t in tids)
+    for tid, n in pairs:
+        counts[tid] = counts.get(tid, 0) + n
 
 
-def _rebuild(log, salvage, capacity=None):
-    """A fresh, clean SharedLog holding the salvaged entries in order."""
-    if capacity is None:
-        # Evidence-based sizing: the header's capacity word may itself
-        # be corrupt (a single bit flip can claim 2**55 entries), so
-        # never allocate beyond what the image demonstrably holds.
-        total = sum(end - start for start, end in salvage)
-        capacity = max(1, total, min(log.capacity, log._present))
-    out = SharedLog.create(
+def _fresh_log(header, capacity):
+    """An empty, clean SharedLog carrying `header`'s identity."""
+    return SharedLog.create(
         capacity,
-        pid=log.pid,
-        profiler_addr=log.profiler_addr,
-        shm_base=log.shm_base,
-        multithread=log.multithread,
-        version=log.version,
+        pid=header.pid,
+        profiler_addr=header.profiler_addr,
+        shm_base=header.shm_base,
+        multithread=header.multithread,
+        version=header.version,
     )
-    es = log.entry_size
+
+
+def _recover_fixed(image):
+    """Salvage a fixed-width image: a fresh SharedLog holding the
+    salvaged entries in order, plus the report."""
+    salvage, report = _salvage_plan(image)
+    # Evidence-based sizing: the header's capacity word may itself be
+    # corrupt (a single bit flip can claim 2**55 entries), so never
+    # allocate beyond what the image demonstrably holds.
+    total = report.entries_salvaged
+    out = _fresh_log(
+        image.header,
+        max(1, total, min(image.header.capacity, image._present)),
+    )
+    es = image.header.entry_size
     cursor = 0
     for start, end in salvage:
-        raw = memoryview(log._buf)[
-            HEADER_SIZE + start * es : HEADER_SIZE + end * es
-        ]
-        out.write_block(cursor, end - start, raw)
+        out.write_block(
+            cursor, end - start,
+            image._raw(HEADER_SIZE + start * es, HEADER_SIZE + end * es),
+        )
         cursor += end - start
     out._next_free = cursor
     out._store_tail()
-    return out
+    with out.image() as salvaged:
+        for cols in salvaged.column_chunks():
+            _tally(cols.tid, report.salvaged_per_thread)
+    # Quarantined-but-decodable regions (unsealed bytes are intact,
+    # just not vouched for) get per-thread counts too.
+    for q in report.quarantined:
+        if q.reason == REASON_UNSEALED:
+            _tally(image._span(q.start, q.count).tid,
+                   report.quarantined_per_thread)
+    return out, report
 
 
-def _recover_columnar(data):
+def _recover_columnar(image):
     """Salvage a rev 1.2 compressed columnar image, block by block.
 
     Every codec block carries its own CRC32 and a ``payload_len`` that
     lets the scan skip over it, so damage quarantines *exactly* the
     damaged block: a CRC mismatch (or a section that will not decode)
-    drops that block with ``crc-mismatch`` and the scan keeps every
-    healthy block after it.  A block whose bytes run off the end of
-    the image stops the scan — its offsets and everything behind it
-    are gone — and the remainder of what the header's tail claims is
-    quarantined as ``truncated``.  The accounting identity holds
-    exactly as for fixed-width salvage: ``salvaged + quarantined ==
-    tail``.
+    drops that block with ``crc-mismatch`` and keeps every healthy
+    block after it.  Where the block directory stops short of the
+    image (the strict reader's damage), everything behind it is gone,
+    and the remainder of what the header's tail claims is quarantined
+    as ``truncated``.  The accounting identity holds exactly as for
+    fixed-width salvage: ``salvaged + quarantined == tail``.
     """
-    from repro.core import columnar as _columnar
-
-    view = memoryview(data)
-    header = _validate_header(view)
-    version = (header[1] >> _VERSION_SHIFT) & 0xFFFF
-    tail = header[5]
+    header = image.header
+    version = header.version
     report = RecoveryReport(
-        sealed=False, capacity=header[4], tail=tail, watermark=0
+        sealed=False, capacity=header.capacity, watermark=0,
+        segments_sealed=len(image._blocks),
     )
-
-    # Scan the block directory tolerantly: (entry cursor, byte offset,
-    # per-block verdict).  Nothing decodes yet — sizing first.
-    magic_end = HEADER_SIZE + len(_columnar.COLUMNAR_MAGIC)
-    blocks = []  # (payload_at, count, crc, payload_len)
-    scan_ok = (
-        len(view) >= magic_end + 8
-        and bytes(view[HEADER_SIZE:magic_end]) == _columnar.COLUMNAR_MAGIC
-    )
-    if scan_ok:
-        (n_blocks,) = struct.unpack_from("<Q", view, magic_end)
-        offset = magic_end + 8
-        for _ in range(n_blocks):
-            if offset + 24 > len(view):
-                break  # block header itself truncated
-            payload_len, count, crc = struct.unpack_from(
-                "<3Q", view, offset
-            )
-            payload_at = offset + 24
-            if payload_at + payload_len > len(view):
-                break  # payload runs off the image: this and the rest
-            blocks.append((payload_at, count, crc, payload_len))
-            offset = payload_at + payload_len
-    report.segments_sealed = len(blocks)
-
-    decoded = []  # (count, LogColumns-tuple) for healthy blocks
+    decoded = []  # column tuples of the healthy blocks
     cursor = 0
-    for index, (payload_at, count, crc, payload_len) in enumerate(blocks):
-        payload = view[payload_at : payload_at + payload_len]
-        bad = zlib.crc32(payload) != crc
-        if bad:
-            report.crc_failures += 1
-        else:
-            try:
-                columns = _columnar._decode_block_payload(
-                    payload, count, version
-                )
-            except LogFormatError:
-                bad = True
-        if bad:
+    for block in image._blocks:
+        payload = image._payload(block)
+        try:
+            decoded.append(decode_block(payload, block, version))
+        except LogFormatError:
+            if zlib.crc32(payload) != block.crc:
+                report.crc_failures += 1
             report.quarantined.append(
                 QuarantinedRange(
-                    cursor, count, payload_at,
-                    payload_at + payload_len, REASON_CRC,
+                    cursor, block.count, block.payload_at,
+                    block.payload_at + block.payload_len, REASON_CRC,
                 )
             )
         else:
-            decoded.append((cursor, columns))
-            report.entries_salvaged += count
+            report.entries_salvaged += block.count
             report.segments_recovered += 1
-        cursor += count
+        cursor += block.count
     report.present = cursor
-    if tail > cursor:
+    if header.tail > cursor:
         report.quarantined.append(
             QuarantinedRange(
-                cursor, tail - cursor,
-                min(len(view), magic_end), len(view), REASON_TRUNCATED,
+                cursor, header.tail - cursor,
+                min(image.nbytes, HEADER_SIZE + 8), image.nbytes,
+                REASON_TRUNCATED,
             )
         )
-    report.tail = max(tail, cursor)
+    report.tail = max(header.tail, cursor)
     report.entries_quarantined = sum(q.count for q in report.quarantined)
 
-    out = SharedLog.create(
-        max(1, report.entries_salvaged),
-        pid=header[3],
-        profiler_addr=header[6],
-        shm_base=header[2],
-        multithread=bool(header[1] & FLAG_MULTITHREAD),
-        version=version,
-    )
-    per_thread = report.salvaged_per_thread
-    for _, (kind, counter, addr, tid, call_site) in decoded:
+    out = _fresh_log(header, max(1, report.entries_salvaged))
+    for kind, counter, addr, tid, call_site in decoded:
         out.append_columns(kind, counter, addr, tid, call_site)
-        if _columnar._np is not None:
-            uniq, counts = _columnar._np.unique(tid, return_counts=True)
-            for t, c in zip(uniq.tolist(), counts.tolist()):
-                per_thread[t] = per_thread.get(t, 0) + c
-        else:
-            for t in tid:
-                t = int(t)
-                per_thread[t] = per_thread.get(t, 0) + 1
+        _tally(tid, report.salvaged_per_thread)
     out._store_tail()
     return out, report
 
@@ -462,10 +403,11 @@ def _recover_columnar(data):
 def recover_log(source, repair=False):
     """Salvage every committed region of a possibly damaged log.
 
-    `source` may be a path, raw bytes/memoryview (zero-copy), a
-    :class:`SharedLog`, a :class:`LogStream`, or a rev 1.2 compressed
-    image (any of the above shapes — salvage dispatches on the header
-    flag and quarantines per codec block).  Returns ``(salvaged,
+    `source` is any log source :meth:`~repro.core.log.LogImage.of`
+    accepts — a path, raw bytes/memoryview (zero-copy), a
+    :class:`SharedLog` or a :class:`~repro.core.log.LogImage` — in
+    either format: fixed-width images are salvaged per seal record,
+    rev 1.2 compressed images per codec block.  Returns ``(salvaged,
     report)`` — a fresh, clean :class:`SharedLog` holding the
     recovered entries in log order, and the :class:`RecoveryReport`
     describing everything that was kept, repaired, or quarantined
@@ -478,23 +420,11 @@ def recover_log(source, repair=False):
     itself is too damaged to describe a log (no magic, no layout —
     there is nothing principled to salvage without it).
     """
-    log = _coerce(source)
-    if isinstance(log, memoryview):
-        salvaged, report = _recover_columnar(log)
-        if repair:
-            salvaged = repair_tails(salvaged, report)
-        return salvaged, report
-    salvage, report = _salvage_plan(log)
-    salvaged = _rebuild(log, salvage)
-    _tally_threads(log, salvage, report.salvaged_per_thread)
-    # Quarantined-but-decodable regions (unsealed bytes are intact,
-    # just not vouched for) get per-thread counts too.
-    decodable = [
-        (q.start, q.start + q.count)
-        for q in report.quarantined
-        if q.reason == REASON_UNSEALED
-    ]
-    _tally_threads(log, decodable, report.quarantined_per_thread)
+    with LogImage.of(source) as image:
+        if image.header.compressed:
+            salvaged, report = _recover_columnar(image)
+        else:
+            salvaged, report = _recover_fixed(image)
     if repair:
         salvaged = repair_tails(salvaged, report)
     return salvaged, report
@@ -521,14 +451,18 @@ def repair_tails(log, report=None):
     * frames still open at the end of the log are closed with
       synthetic RETs at the thread's last observed counter.
 
-    Returns a fresh balanced :class:`SharedLog`; counts go on
+    `log` is any log source :meth:`~repro.core.log.LogImage.of`
+    accepts.  Returns a fresh balanced :class:`SharedLog`; counts go on
     `report` (``tails_repaired`` / ``rets_dropped``) when given.
     """
     stacks = {}  # tid -> list of open call addrs
     last_counter = {}  # tid -> last counter observed
     kept = []  # (kind, counter, addr, tid, call_site)
     added = dropped = 0
-    for e in log:
+    with LogImage.of(log) as image:
+        header = image.header
+        entries = list(image)
+    for e in entries:
         last_counter[e.tid] = e.counter
         stack = stacks.setdefault(e.tid, [])
         if e.kind == KIND_CALL:
@@ -549,14 +483,7 @@ def repair_tails(log, report=None):
         while stack:
             kept.append((KIND_RET, last_counter[tid], stack.pop(), tid, 0))
             added += 1
-    out = SharedLog.create(
-        max(1, log.capacity, len(kept)),
-        pid=log.pid,
-        profiler_addr=log.profiler_addr,
-        shm_base=log.shm_base,
-        multithread=log.multithread,
-        version=log.version,
-    )
+    out = _fresh_log(header, max(1, header.capacity, len(kept)))
     for kind, counter, addr, tid, call_site in kept:
         out.append(kind, counter, addr, tid, call_site)
     out._store_tail()

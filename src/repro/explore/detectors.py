@@ -218,15 +218,13 @@ def check_recovery_accounting(image, name="recovery-accounting"):
     Returns the :class:`RecoveryReport`; raises
     :class:`OracleViolation` when the books do not balance.
     """
-    from repro.core.log import SharedLog
+    from repro.core.log import LogImage
     from repro.core.recovery import recover_log
 
     salvaged, report = recover_log(image)
     committed = report.entries_salvaged + report.entries_quarantined
-    if isinstance(image, (bytes, bytearray, memoryview)):
-        present = len(SharedLog.view(image))
-    else:
-        present = len(image)
+    with LogImage.of(image) as view:
+        present = len(view)
     if committed != present:
         raise OracleViolation(
             f"{name}: salvaged({report.entries_salvaged}) + "
@@ -256,14 +254,14 @@ def check_per_thread_identity(log, events_by_tid, name="byte-identity"):
     size = log.entry_size
     buf = log._buf
     got = {tid: [] for tid in events_by_tid}
-    for index, entry in enumerate(log):
+    for index, entry in enumerate(log.image()):
         offset = HEADER_SIZE + index * size
         got.setdefault(entry.tid, []).append(
             bytes(buf[offset : offset + size])
         )
     for tid, events in events_by_tid.items():
         baseline = SharedLog.create(
-            max(len(events), 1), version=log.version
+            max(len(events), 1), version=log.header.version
         )
         for event in events:
             baseline.append(*event)

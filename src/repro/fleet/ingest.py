@@ -88,12 +88,18 @@ class _Connection:
     def _hello(self, header):
         if self.session is not None:
             raise ProtocolError("duplicate hello")
-        try:
-            self.tenant = header["tenant"]
-            self.session = header["session"]
-            self.symtab_json = header["symtab"]
-        except KeyError as exc:
-            raise ProtocolError(f"hello missing {exc}") from None
+        fields = []
+        for key in ("tenant", "session", "symtab"):
+            value = header.get(key)
+            if value is None:
+                raise ProtocolError(f"hello missing {key!r}")
+            if not isinstance(value, str):
+                raise ProtocolError(
+                    f"hello {key} must be a string, not "
+                    f"{type(value).__name__}"
+                )
+            fields.append(value)
+        self.tenant, self.session, self.symtab_json = fields
         self.daemon.open_session(self.tenant, self.session)
         protocol.write_frame(
             self.sock, {"ok": True, "session": self.session}

@@ -84,9 +84,10 @@ def read_frame(sock):
         raise ProtocolError(f"header is not JSON: {exc}") from None
     if not isinstance(header, dict):
         raise ProtocolError(f"header is not an object: {header!r}")
-    size = int(header.get("size", 0))
-    if not 0 <= size <= MAX_PAYLOAD:
-        raise ProtocolError(f"implausible payload size {size}")
+    size = header.get("size", 0)
+    # bool is an int subclass, and a float or string size is a lie.
+    if type(size) is not int or not 0 <= size <= MAX_PAYLOAD:
+        raise ProtocolError(f"implausible payload size {size!r}")
     payload = _read_exact(sock, size) if size else b""
     return header, payload
 

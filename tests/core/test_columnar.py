@@ -21,10 +21,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.api import SharedLog, recover_log
+from repro.api import LogImage, SharedLog, recover_log
 from repro.core import KIND_CALL, KIND_RET
 from repro.core.columnar import (
-    ColumnarLog,
     decode_delta,
     decode_dictionary,
     decode_log,
@@ -124,15 +123,16 @@ def test_identity_oracle(events, block_entries):
     image = encode_log(
         log, block_entries=block_entries, sort_by_thread=False
     )
-    col = ColumnarLog(image)
+    col = LogImage(image)
     assert len(col) == len(log)
-    assert list(col) == list(log)
+    assert list(col) == list(log.image())
     # The convert-back path restores a fixed-width log with the same
     # entries and header identity.
     back = decode_log(image)
-    assert list(back) == list(log)
-    assert (back.version, back.pid, back.profiler_addr) == (
-        log.version, log.pid, log.profiler_addr
+    assert list(back.image()) == list(log.image())
+    assert (back.header.version, back.header.pid,
+            back.header.profiler_addr) == (
+        log.header.version, log.header.pid, log.header.profiler_addr
     )
 
 
@@ -140,10 +140,10 @@ def test_identity_oracle(events, block_entries):
 @given(entry_lists)
 def test_thread_sort_preserves_per_thread_order(events):
     log = _fill(events)
-    col = ColumnarLog(encode_log(log, sort_by_thread=True))
+    col = LogImage(encode_log(log, sort_by_thread=True))
     for tid in {e[3] for e in events}:
         assert [e for e in col if e.tid == tid] == [
-            e for e in log if e.tid == tid
+            e for e in log.image() if e.tid == tid
         ]
 
 
@@ -152,16 +152,16 @@ def test_v2_call_sites_roundtrip():
     for i in range(8):
         log.append(KIND_CALL, i, 0x2000 + i, 1, call_site=0x9000 + i)
     log._store_tail()
-    col = ColumnarLog(encode_log(log, sort_by_thread=False))
-    assert col.version == 2 and col.entry_size == 32
-    assert list(col) == list(log)
+    col = LogImage(encode_log(log, sort_by_thread=False))
+    assert col.header.version == 2 and col.header.entry_size == 32
+    assert list(col) == list(log.image())
 
 
 def test_empty_log_roundtrip():
     log = SharedLog.create(4)
     image = encode_log(log)
-    col = ColumnarLog(image)
-    assert len(col) == 0 and col.block_count == 0
+    col = LogImage(image)
+    assert len(col) == 0 and len(col._blocks) == 0
     assert list(col) == []
     assert len(col.columns()) == 0
     assert len(decode_log(image)) == 0
@@ -169,10 +169,10 @@ def test_empty_log_roundtrip():
 
 def test_single_entry_blocks_make_one_block_per_entry():
     log = _fill([(0, i, 0x1000, 1) for i in range(5)])
-    col = ColumnarLog(encode_log(log, block_entries=1,
+    col = LogImage(encode_log(log, block_entries=1,
                                  sort_by_thread=False))
-    assert col.block_count == 5
-    assert list(col) == list(log)
+    assert len(col._blocks) == 5
+    assert list(col) == list(log.image())
 
 
 def test_compression_on_the_call_return_shape():
@@ -205,16 +205,16 @@ def _blocked_image(n_blocks=3, per_block=100):
 
 def test_strict_reader_raises_on_crc_damage():
     log, image = _blocked_image()
-    col = ColumnarLog(image)
+    col = LogImage(image)
     damaged = bytearray(image)
     damaged[col._blocks[1][0] + 5] ^= 0xFF
     with pytest.raises(LogFormatError, match="CRC mismatch"):
-        list(ColumnarLog(bytes(damaged)))
+        list(LogImage(bytes(damaged)))
 
 
 def test_corruption_quarantines_exactly_the_damaged_block():
     log, image = _blocked_image(n_blocks=3, per_block=100)
-    col = ColumnarLog(image)
+    col = LogImage(image)
     damaged = bytearray(image)
     damaged[col._blocks[1][0] + 5] ^= 0xFF  # inside block 1's payload
 
@@ -228,19 +228,19 @@ def test_corruption_quarantines_exactly_the_damaged_block():
     assert (bad.start, bad.count, bad.reason) == (100, 100, REASON_CRC)
     # Every healthy block survives verbatim — including the one
     # *after* the damage (payload_len lets the scan skip the wreck).
-    entries = list(log)
-    assert list(salvaged) == entries[:100] + entries[200:]
+    entries = list(log.image())
+    assert list(salvaged.image()) == entries[:100] + entries[200:]
 
 
 def test_truncation_quarantines_the_missing_tail():
     log, image = _blocked_image(n_blocks=3, per_block=100)
-    col = ColumnarLog(image)
+    col = LogImage(image)
     # Cut mid-way through block 2's payload.
     cut = image[: col._blocks[2][0] + 10]
 
     salvaged, report = recover_log(cut)
     assert report.entries_salvaged == 200
-    assert list(salvaged) == list(log)[:200]
+    assert list(salvaged.image()) == list(log.image())[:200]
     [tail] = report.quarantined
     assert (tail.start, tail.count, tail.reason) == (
         200, 100, REASON_TRUNCATED
@@ -250,6 +250,14 @@ def test_truncation_quarantines_the_missing_tail():
 
 
 def test_not_compressed_image_is_rejected():
+    """The header flag decides the decoding: a fixed-width payload
+    under FLAG_COMPRESSED is not block data, and the strict reader
+    says so instead of decoding garbage."""
+    from repro.core.log import FLAG_COMPRESSED
+
     log = _fill([(0, 1, 0x1000, 1)])
-    with pytest.raises(LogFormatError, match="FLAG_COMPRESSED"):
-        ColumnarLog(log.to_bytes())
+    assert len(LogImage(log.to_bytes())) == 1  # flag clear: fixed-width
+    image = bytearray(log.to_bytes())
+    image[8] |= FLAG_COMPRESSED
+    with pytest.raises(LogFormatError, match="columnar payload magic"):
+        list(LogImage(bytes(image)))

@@ -1,16 +1,18 @@
-"""The columnar decode path: LogColumns / decode_columns / open_log.
+"""The columnar decode path: LogColumns / decode_columns / LogImage.
 
-The bulk reader must agree entry-for-entry with the object-at-a-time
+The bulk reader must agree entry-for-entry with the struct-level
 decode on every log shape, keep working without numpy (the list
-fallback), and — when fed from an mmap-backed LogStream — never pin
-the mapping (columns are copies there, so ``close`` always succeeds).
+fallback), and — when reading an mmap-mapped file — never pin the
+mapping (columns are copies there, so ``close`` always succeeds).
 """
+
+import struct
 
 import pytest
 
-from repro.api import SharedLog, open_log
-from repro.core import DEFAULT_MMAP_THRESHOLD, KIND_CALL, KIND_RET, LogStream
-from repro.core.log import VERSION_2, decode_columns
+from repro.api import LogImage, SharedLog
+from repro.core import KIND_CALL, KIND_RET
+from repro.core.log import HEADER_SIZE, VERSION_2, LogEntry, decode_columns
 
 
 def sample_log(version=None, n=10):
@@ -23,14 +25,30 @@ def sample_log(version=None, n=10):
     return log
 
 
+def struct_entries(log):
+    """The log's entries unpacked one struct at a time — the decode
+    the column path is checked against."""
+    data = log.to_bytes()
+    es = log.entry_size
+    out = []
+    for i in range(len(log)):
+        words = struct.unpack_from(f"<{es // 8}Q", data, HEADER_SIZE + i * es)
+        out.append(LogEntry(words[0] >> 63, words[0] & ((1 << 63) - 1),
+                            words[1], words[2],
+                            words[3] if es == 32 else 0))
+    return out
+
+
 @pytest.mark.parametrize("version", [None, VERSION_2])
 def test_columns_match_entry_decode(version):
     log = sample_log(version)
-    cols = log.columns()
+    cols = log.image().columns()
     assert len(cols) == len(log)
-    assert cols.entries() == list(log)
+    expected = struct_entries(log)
+    assert cols.entries() == expected
+    direct = decode_columns(log.to_bytes(), version or 1, 0, len(log))
+    assert direct.as_lists() == cols.as_lists()
     kinds, counters, addrs, tids, call_sites = cols.as_lists()
-    expected = list(log)
     assert kinds == [e.kind for e in expected]
     assert counters == [e.counter for e in expected]
     assert addrs == [e.addr for e in expected]
@@ -44,7 +62,7 @@ def test_columns_match_entry_decode(version):
 def test_columns_are_plain_ints():
     """as_lists yields Python ints — consumers hash/compare them
     against LogEntry fields without numpy scalar surprises."""
-    cols = sample_log().columns()
+    cols = sample_log().image().columns()
     kinds, counters, addrs, tids, _ = cols.as_lists()
     for lst in (kinds, counters, addrs, tids):
         assert all(type(x) is int for x in lst)
@@ -52,22 +70,22 @@ def test_columns_are_plain_ints():
 
 def test_counter_bounds_and_empty_span():
     log = sample_log(n=5)
-    assert log.columns().counter_bounds() == (0, 12)
-    empty = SharedLog.create(4)
-    assert empty.columns().counter_bounds() is None
-    assert len(empty.columns()) == 0
-    assert empty.columns().entries() == []
+    assert log.image().columns().counter_bounds() == (0, 12)
+    empty = SharedLog.create(4).image().columns()
+    assert empty.counter_bounds() is None
+    assert len(empty) == 0
+    assert empty.entries() == []
 
 
 def test_column_chunks_cover_log_in_order():
     log = sample_log(n=10)
-    spans = list(log.iter_column_chunks(4))
+    spans = list(log.image().column_chunks(4))
     assert [len(s) for s in spans] == [4, 4, 2]
     assert [s.start for s in spans] == [0, 4, 8]
     flattened = [e for s in spans for e in s.entries()]
-    assert flattened == list(log)
+    assert flattened == struct_entries(log)
     with pytest.raises(ValueError):
-        list(log.iter_column_chunks(0))
+        list(log.image().column_chunks(0))
 
 
 def test_kind_bit_survives_large_counters():
@@ -76,7 +94,7 @@ def test_kind_bit_survives_large_counters():
     big = (1 << 63) - 1
     log.append(KIND_RET, big, 0xAAAA, 9)
     log.append(KIND_CALL, big - 1, 0xBBBB, 9)
-    cols = log.columns()
+    cols = log.image().columns()
     kinds, counters, _, _, _ = cols.as_lists()
     assert kinds == [KIND_RET, KIND_CALL]
     assert counters == [big, big - 1]
@@ -87,56 +105,26 @@ def test_list_fallback_matches_numpy(monkeypatch):
     import repro.core.log as logmod
 
     log = sample_log(VERSION_2)
-    with_np = log.columns().as_lists()
+    with_np = log.image().columns().as_lists()
     monkeypatch.setattr(logmod, "_np", None)
-    without_np = log.columns()
+    without_np = log.image().columns()
     assert isinstance(without_np.kind, list)
     assert without_np.as_lists() == with_np
-    assert without_np.entries() == list(log)
+    assert without_np.entries() == struct_entries(log)
 
 
 # ----------------------------------------------------------------------
-# LogStream columns and open_log
+# Columns read from a mapped file
 
 
 def test_stream_columns_do_not_pin_the_mmap(tmp_path):
     log = sample_log(VERSION_2)
     path = tmp_path / "run.teeperf"
     log.dump(str(path))
-    stream = LogStream.open(str(path))
+    stream = LogImage.open(str(path))
     held = list(stream.column_chunks(3))  # survive close on purpose
     whole = stream.columns()
     stream.close()  # must not raise "exported pointers exist"
     flattened = [e for s in held for e in s.entries()]
-    assert flattened == list(log)
-    assert whole.entries() == list(log)
-
-
-def test_open_log_picks_by_size(tmp_path):
-    log = sample_log()
-    small = tmp_path / "small.teeperf"
-    log.dump(str(small))
-    opened = open_log(str(small))
-    assert isinstance(opened, SharedLog)
-    streamed = open_log(str(small), mmap_threshold=0)
-    try:
-        assert isinstance(streamed, LogStream)
-        assert list(streamed) == list(log)
-    finally:
-        streamed.close()
-    assert small.stat().st_size < DEFAULT_MMAP_THRESHOLD
-
-
-def test_open_log_threshold_boundary(tmp_path):
-    log = sample_log()
-    path = tmp_path / "run.teeperf"
-    log.dump(str(path))
-    size = path.stat().st_size
-    at = open_log(str(path), mmap_threshold=size)
-    try:
-        assert isinstance(at, LogStream)  # >= threshold streams
-    finally:
-        at.close()
-    assert isinstance(
-        open_log(str(path), mmap_threshold=size + 1), SharedLog
-    )
+    assert flattened == struct_entries(log)
+    assert whole.entries() == struct_entries(log)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.api import SharedLog
+from repro.api import LogImage, SharedLog, open_log
 from repro.core import ENTRY_SIZE, HEADER_SIZE, KIND_CALL, KIND_RET
 from repro.core.errors import LogFormatError
 from repro.core.log import VERSION
@@ -12,13 +12,14 @@ from repro.core.log import VERSION
 
 def test_create_sets_header_fields():
     log = SharedLog.create(100, pid=77, profiler_addr=0x401000)
-    assert log.capacity == 100
-    assert log.pid == 77
-    assert log.profiler_addr == 0x401000
-    assert log.version == VERSION
-    assert log.multithread
-    assert not log.active
-    assert log.tail == 0
+    header = log.header
+    assert log.capacity == header.capacity == 100
+    assert header.pid == 77
+    assert header.profiler_addr == 0x401000
+    assert header.version == VERSION
+    assert header.multithread
+    assert not header.active and not log.active
+    assert header.tail == 0
 
 
 def test_buffer_is_header_plus_entries():
@@ -30,7 +31,7 @@ def test_append_and_decode_roundtrip():
     log = SharedLog.create(10)
     assert log.append(KIND_CALL, 123456, 0x401234, 7)
     assert log.append(KIND_RET, 123999, 0x401234, 7)
-    first, second = list(log)
+    first, second = list(log.image())
     assert first.is_call and not first.is_ret
     assert first.counter == 123456
     assert first.addr == 0x401234
@@ -55,7 +56,7 @@ def test_active_flag_gates_nothing_here_but_flips_atomically():
     log.set_active(False)
     assert not log.active
     # Version survives flag flips (it shares the header word).
-    assert log.version == VERSION
+    assert log.header.version == VERSION
 
 
 def test_dump_load_roundtrip(tmp_path):
@@ -64,29 +65,29 @@ def test_dump_load_roundtrip(tmp_path):
     log.append(KIND_RET, 20, 0x400100, 3)
     path = tmp_path / "run.teeperf"
     log.dump(path)
-    loaded = SharedLog.load(str(path))
-    assert loaded.pid == 9
-    assert loaded.profiler_addr == 0xABCD
-    assert loaded.tail == 2
-    assert [e.counter for e in loaded] == [10, 20]
+    with open_log(str(path)) as loaded:
+        assert loaded.header.pid == 9
+        assert loaded.header.profiler_addr == 0xABCD
+        assert loaded.header.tail == 2
+        assert [e.counter for e in loaded] == [10, 20]
 
 
 def test_loaded_log_can_keep_appending(tmp_path):
     log = SharedLog.create(4)
     log.append(KIND_CALL, 1, 0x400000, 1)
-    reloaded = SharedLog.from_bytes(log.to_bytes())
+    reloaded = SharedLog(bytearray(log.to_bytes()))
     reloaded.append(KIND_RET, 2, 0x400000, 1)
-    assert [e.kind for e in reloaded] == [KIND_CALL, KIND_RET]
+    assert [e.kind for e in reloaded.image()] == [KIND_CALL, KIND_RET]
 
 
 def test_bad_magic_rejected():
     with pytest.raises(LogFormatError):
-        SharedLog.from_bytes(b"\x00" * 256)
+        LogImage(b"\x00" * 256)
 
 
 def test_truncated_buffer_rejected():
     with pytest.raises(LogFormatError):
-        SharedLog.from_bytes(b"\x00" * 16)
+        LogImage(b"\x00" * 16)
 
 
 def test_nonpositive_capacity_rejected():
@@ -95,10 +96,13 @@ def test_nonpositive_capacity_rejected():
 
 
 def test_entry_index_out_of_range():
+    """Slots past the tail are never read, although they exist."""
     log = SharedLog.create(4)
     log.append(KIND_CALL, 1, 2, 3)
-    with pytest.raises(IndexError):
-        log.entry(1)
+    image = log.image()
+    assert len(image) == 1
+    assert [e.counter for e in image] == [1]
+    assert len(image.columns()) == 1
 
 
 def test_reserve_write_split_api():
@@ -106,14 +110,15 @@ def test_reserve_write_split_api():
     index = log.try_reserve()
     assert index == 0
     log.write_entry(index, KIND_RET, 42, 0x400000, 5)
-    assert log.entry(0).counter == 42
+    [entry] = log.image()
+    assert entry.counter == 42
 
 
 def test_counter_value_packs_63_bits():
     log = SharedLog.create(2)
     huge = (1 << 63) - 1
     log.append(KIND_RET, huge, 0, 0)
-    entry = log.entry(0)
+    [entry] = log.image()
     assert entry.counter == huge
     assert entry.is_ret
 
@@ -122,8 +127,8 @@ def test_set_profiler_addr_and_pid_late():
     log = SharedLog.create(2)
     log.set_profiler_addr(0x1234)
     log.set_pid(99)
-    assert log.profiler_addr == 0x1234
-    assert log.pid == 99
+    assert log.header.profiler_addr == 0x1234
+    assert log.header.pid == 99
 
 
 @given(
@@ -135,7 +140,7 @@ def test_set_profiler_addr_and_pid_late():
 def test_entry_roundtrip_property(kind, counter, addr, tid):
     log = SharedLog.create(1)
     log.append(kind, counter, addr, tid)
-    entry = log.entry(0)
+    [entry] = log.image()
     assert entry.kind == kind
     assert entry.counter == counter
     assert entry.addr == addr

@@ -5,7 +5,7 @@ import types
 
 import pytest
 
-from repro.api import Analyzer, SharedLog, TEEPerf
+from repro.api import Analyzer, LogImage, SharedLog, TEEPerf, open_log
 from repro.core import KIND_CALL, KIND_RET
 from repro.core.errors import LogFormatError
 from repro.core.log import ENTRY_SIZE_V2, HEADER_SIZE, VERSION_2
@@ -14,7 +14,7 @@ from repro.symbols import BinaryImage
 
 def test_v2_entries_are_32_bytes():
     log = SharedLog.create(10, version=VERSION_2)
-    assert log.version == VERSION_2
+    assert log.header.version == VERSION_2
     assert log.entry_size == ENTRY_SIZE_V2
     assert len(log.to_bytes()) == HEADER_SIZE + 10 * ENTRY_SIZE_V2
 
@@ -22,7 +22,7 @@ def test_v2_entries_are_32_bytes():
 def test_v2_roundtrips_call_site():
     log = SharedLog.create(4, version=VERSION_2)
     log.append(KIND_CALL, 100, 0x401000, 7, call_site=0x400500)
-    entry = log.entry(0)
+    [entry] = log.image()
     assert entry.call_site == 0x400500
     assert entry.addr == 0x401000
 
@@ -30,7 +30,8 @@ def test_v2_roundtrips_call_site():
 def test_v1_ignores_call_site_silently():
     log = SharedLog.create(4)
     log.append(KIND_CALL, 100, 0x401000, 7, call_site=0x400500)
-    assert log.entry(0).call_site == 0
+    [entry] = log.image()
+    assert entry.call_site == 0
 
 
 def test_v2_survives_dump_and_load(tmp_path):
@@ -38,9 +39,10 @@ def test_v2_survives_dump_and_load(tmp_path):
     log.append(KIND_CALL, 1, 0x400100, 1, call_site=0x400050)
     path = tmp_path / "v2.teeperf"
     log.dump(str(path))
-    loaded = SharedLog.load(str(path))
-    assert loaded.version == VERSION_2
-    assert loaded.entry(0).call_site == 0x400050
+    with open_log(str(path)) as loaded:
+        assert loaded.header.version == VERSION_2
+        [entry] = loaded
+    assert entry.call_site == 0x400050
 
 
 def test_unknown_version_rejected():
@@ -53,7 +55,7 @@ def test_unknown_version_rejected():
     word1 = struct.unpack_from("<Q", buf, 8)[0]
     struct.pack_into("<Q", buf, 8, (word1 & 0xFFFF) | (9 << 16))
     with pytest.raises(LogFormatError):
-        SharedLog.from_bytes(bytes(buf))
+        LogImage(bytes(buf))
 
 
 def test_event_mask_filters_kinds():
@@ -127,7 +129,7 @@ def test_auto_tracer_fills_v2_call_sites():
         assert analysis.meta["version"] == VERSION_2
         assert analysis.meta["callsite_mismatches"] == 0
         # The inner call entry carries outer's address as call site.
-        entries = list(perf.recorder.log)
+        entries = list(perf.recorder.log.image())
         inner_calls = [
             e for e in entries if e.is_call and e.call_site != 0
         ]

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.api import (
     Analyzer,
     LiveRecorder,
+    LogImage,
     RecoveryReport,
     SharedLog,
     recover_log,
@@ -101,11 +102,11 @@ def sealed_log(image, repeats=4, block=6, capacity=256):
 
 def test_sealed_roundtrip_preserves_journal(image):
     log = sealed_log(image)
-    reloaded = SharedLog.from_bytes(log.to_bytes())
-    assert reloaded.sealed
+    reloaded = LogImage(log.to_bytes())
+    assert reloaded.header.sealed
     assert reloaded.seals == log.seals
-    assert reloaded.seal_watermark == log.seal_watermark == len(log)
-    assert list(reloaded) == list(log)
+    assert reloaded.header.seal_watermark == log.seal_watermark == len(log)
+    assert list(reloaded) == list(log.image())
 
 
 def test_unsealed_log_bytes_unchanged(image):
@@ -116,7 +117,7 @@ def test_unsealed_log_bytes_unchanged(image):
         log.append(kind, counter, a, tid)
     data = log.to_bytes()
     assert len(data) == HEADER_SIZE + 64 * log.entry_size
-    assert not SharedLog.from_bytes(data).sealed
+    assert not LogImage(data).header.sealed
 
 
 @given(counts=st.lists(st.integers(1, 6), min_size=1, max_size=8))
@@ -129,9 +130,9 @@ def test_seal_journal_roundtrip_property(counts):
             log.append(KIND_CALL, cursor + i, 0x1000, 1)
         log.seal(cursor, count)
         cursor += count
-    reloaded = SharedLog.from_bytes(log.to_bytes())
+    reloaded = LogImage(log.to_bytes())
     assert reloaded.seals == log.seals
-    assert reloaded.seal_watermark == log.seal_watermark == cursor
+    assert reloaded.header.seal_watermark == log.seal_watermark == cursor
     salvaged, report = recover_log(reloaded)
     assert report.ok
     assert report.entries_salvaged == cursor
@@ -158,7 +159,7 @@ def test_fault_matrix_writer_crash(phase):
     # The first flush always seals 4 entries before the crash point.
     expected = 8 if phase == "after-seal" else 4
     assert report.entries_salvaged == expected
-    assert list(salvaged)[:4] == list(log)[:4]
+    assert list(salvaged.image())[:4] == list(log.image())[:4]
     # Exact accounting: nothing silently dropped.
     assert report.entries_quarantined == sum(
         q.count for q in report.quarantined
@@ -247,7 +248,7 @@ def test_truncation_eats_journal_watermark_vouches_prefix(image):
     cut = data[: HEADER_SIZE + k * log.entry_size + 7]
     salvaged, report = recover_log(cut)
     assert report.entries_salvaged == k
-    assert list(salvaged) == list(log)[:k]
+    assert list(salvaged.image()) == list(log.image())[:k]
     reasons = {q.reason for q in report.quarantined}
     assert "torn-entry" in reasons or "truncated" in reasons
 
@@ -346,7 +347,7 @@ def test_repair_tails_balances_and_counts(image):
     repaired = repair_tails(log, report)
     assert report.rets_dropped == 1
     assert report.tails_repaired == 2
-    kinds = [e.kind for e in repaired]
+    kinds = [e.kind for e in repaired.image()]
     assert kinds.count(KIND_CALL) == kinds.count(KIND_RET) == 2
     analysis = Analyzer(image).analyze(repaired)
     assert analysis.unmatched_returns == 0
@@ -379,7 +380,7 @@ def test_random_bit_flips_never_crash_recovery(seed, nflips):
     assert report.entries_quarantined == sum(
         q.count for q in report.quarantined
     )
-    for entry in salvaged:
+    for entry in salvaged.image():
         assert entry.kind in (KIND_CALL, KIND_RET)
 
 
@@ -392,8 +393,8 @@ def test_random_truncation_never_crashes_recovery(seed):
     except LogFormatError:
         assert offset < HEADER_SIZE
         return
-    original = SharedLog.from_bytes(_BASE)
-    kept = list(salvaged)
+    original = LogImage(_BASE)
+    kept = list(salvaged.image())
     # Truncation damage only ever shortens: what survives is exactly
     # a prefix of the undamaged log.
     assert kept == list(original)[: len(kept)]

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Analyzer, SharedLog
-from repro.core import KIND_CALL, KIND_RET, LogStream, PipelineStats, to_json
+from repro.api import Analyzer, LogImage, SharedLog
+from repro.core import KIND_CALL, KIND_RET, PipelineStats, to_json
 from repro.core.log import VERSION_2
 from repro.symbols import BinaryImage, CachedResolver
 
@@ -150,12 +150,13 @@ def test_streaming_matches_batch_on_all_fixtures(image, jobs, chunk_size):
 
 @pytest.mark.parametrize("jobs", [1, 4])
 def test_streaming_matches_batch_from_disk(image, tmp_path, jobs):
-    """Persisted logs analyze identically through the mmap stream."""
+    """Persisted logs analyze through the mapped file exactly as the
+    in-memory log does through the batch oracle."""
     for name, log in fixture_logs(image).items():
         path = tmp_path / f"{name}.teeperf"
         log.dump(str(path))
         analyzer = Analyzer(image)
-        batch = analyzer.analyze_batch(SharedLog.load(str(path)))
+        batch = analyzer.analyze_batch(log)
         streamed = analyzer.analyze(str(path), jobs=jobs, chunk_size=2)
         assert_equivalent(batch, streamed)
 
@@ -283,7 +284,7 @@ def test_recorder_stats_thread_through_facade():
 
 
 # ----------------------------------------------------------------------
-# LogStream
+# Reading a persisted file: LogImage.open maps it
 
 
 def test_logstream_header_and_iteration(image, tmp_path):
@@ -297,15 +298,15 @@ def test_logstream_header_and_iteration(image, tmp_path):
     )
     path = tmp_path / "v2.teeperf"
     log.dump(str(path))
-    with LogStream.open(str(path), chunk_size=1) as stream:
-        assert stream.version == VERSION_2
-        assert stream.capacity == 4096
-        assert stream.profiler_addr == log.profiler_addr
-        assert stream.multithread
+    with LogImage.open(str(path)) as stream:
+        assert stream.header.version == VERSION_2
+        assert stream.header.capacity == 4096
+        assert stream.header.profiler_addr == image.profiler_addr
+        assert stream.header.multithread
         assert len(stream) == 2
-        chunks = list(stream.chunks())
+        chunks = list(stream.column_chunks(1))
         assert [len(c) for c in chunks] == [1, 1]
-        assert list(stream) == list(log)
+        assert list(stream) == list(log.image())
 
 
 def test_logstream_rejects_garbage(tmp_path):
@@ -314,7 +315,7 @@ def test_logstream_rejects_garbage(tmp_path):
     path = tmp_path / "junk.teeperf"
     path.write_bytes(b"this is not a teeperf log, not even close....." * 4)
     with pytest.raises(LogFormatError):
-        LogStream.open(str(path))
+        LogImage.open(str(path))
 
 
 def test_logstream_short_file_clips_entries(image, tmp_path):
@@ -330,27 +331,9 @@ def test_logstream_short_file_clips_entries(image, tmp_path):
     cut = data[: 64 + 24 + 12]  # header + entry 0 + half of entry 1
     path = tmp_path / "cut.teeperf"
     path.write_bytes(cut)
-    with LogStream.open(str(path)) as stream:
+    with LogImage.open(str(path)) as stream:
         assert len(stream) == 1
         assert [e.counter for e in stream] == [0]
-
-
-def test_sharedlog_iter_chunks_matches_iter(image):
-    log = make_log(
-        image,
-        [
-            (KIND_CALL, "main", 0, 1),
-            (KIND_CALL, "work", 5, 1),
-            (KIND_RET, "work", 8, 1),
-            (KIND_RET, "main", 20, 1),
-            (KIND_CALL, "leaf", 25, 2),
-        ],
-    )
-    flattened = [e for chunk in log.iter_chunks(2) for e in chunk]
-    assert flattened == list(log)
-    assert [len(c) for c in log.iter_chunks(2)] == [2, 2, 1]
-    with pytest.raises(ValueError):
-        list(log.iter_chunks(0))
 
 
 # ----------------------------------------------------------------------

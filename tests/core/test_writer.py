@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import SharedLog
+from repro.api import SharedLog, open_log
 from repro.core import KIND_CALL, KIND_RET, ThreadLogWriter
 from repro.core.log import VERSION_2
 
@@ -99,7 +99,7 @@ def test_straddling_block_surrenders_tail_slots_exactly():
     assert writer.dropped == 6
     assert log.dropped == 6
     assert len(log) == 10
-    assert [e.counter for e in log] == list(range(10))
+    assert [e.counter for e in log.image()] == list(range(10))
 
 
 def test_block_entirely_past_capacity_drops_whole_block():
@@ -173,7 +173,7 @@ def test_event_mask_checked_at_staging_time():
     assert writer.append(KIND_RET, 4, 0x1040, 1)
     log.set_event_mask(calls=True, rets=True)
     writer.flush()
-    assert [(e.kind, e.counter) for e in log] == [
+    assert [(e.kind, e.counter) for e in log.image()] == [
         (KIND_CALL, 1),
         (KIND_RET, 2),
         (KIND_RET, 4),
@@ -193,7 +193,7 @@ def test_active_flip_between_staging_and_flush_commits_staged():
     writer.flush()
     assert writer.pending == 0
     assert len(log) == 2
-    assert [e.counter for e in log] == [1, 2]
+    assert [e.counter for e in log.image()] == [1, 2]
 
 
 def test_partial_block_flushes_on_close_and_context_exit():
@@ -234,7 +234,7 @@ def test_per_thread_order_preserved_under_concurrency():
         t.join()
     log._store_tail()
     seen = {1: [], 2: [], 3: []}
-    for entry in log:
+    for entry in log.image():
         seen[entry.tid].append(entry.counter)
     for tid, counters in seen.items():
         assert counters == list(range(per_thread)), f"thread {tid}"
@@ -264,6 +264,7 @@ def test_recorder_flush_on_stop_and_persist(tmp_path):
         assert perf.recorder.events_recorded() == 4
         path = tmp_path / "run.teeperf"
         perf.persist(str(path), image_path=False)
-        assert len(SharedLog.load(str(path))) == 4
+        with open_log(str(path)) as persisted:
+            assert len(persisted) == 4
     finally:
         perf.uninstrument()

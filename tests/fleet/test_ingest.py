@@ -2,8 +2,11 @@
 
 import socket
 import time
+import uuid
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fleet import (
     FleetClient,
@@ -156,3 +159,94 @@ def test_listener_context_manager(baseline_session):
                 client.publish(baseline_session["log_bytes"])
         assert not listener.running
     assert daemon.status()["accounted"]
+
+
+# ---------------------------------------------------------------------------
+# Property: malformed session sequences get typed refusals, and the
+# daemon's books still balance
+
+
+@pytest.fixture(scope="module")
+def fuzz_served():
+    daemon = FleetDaemon(jobs=1, prefer_processes=False).start()
+    listener = IngestListener(daemon, port=0)
+    listener.start()
+    yield daemon, listener
+    listener.stop()
+    daemon.stop()
+
+
+_STEPS = [
+    "hello", "hello-list-tenant", "hello-int-session", "segment",
+    "segment-garbage", "ping", "bye", "dance", "size-string",
+    "size-float",
+]
+
+
+def _frame(step, session, symtab, log_bytes):
+    hello = {"type": "hello", "tenant": "fuzz", "session": session,
+             "symtab": symtab}
+    return {
+        "hello": (hello, b""),
+        "hello-list-tenant": ({**hello, "tenant": ["fuzz"]}, b""),
+        "hello-int-session": ({**hello, "session": 7}, b""),
+        "segment": ({"type": "segment"}, log_bytes),
+        "segment-garbage": ({"type": "segment"}, b"not a log" * 8),
+        "ping": ({"type": "ping"}, b""),
+        "bye": ({"type": "bye"}, b""),
+        "dance": ({"type": "dance"}, b""),
+        "size-string": ({"type": "ping", "size": "x"}, b""),
+        "size-float": ({"type": "ping", "size": 1.0}, b""),
+    }[step]
+
+
+def _expect_ok(step, opened):
+    if step == "hello":
+        return not opened
+    if step in ("segment", "segment-garbage", "bye"):
+        return opened
+    return step == "ping"
+
+
+@settings(max_examples=30, deadline=None)
+@given(script=st.lists(st.sampled_from(_STEPS), min_size=1, max_size=6))
+def test_session_sequences_get_typed_refusals(
+    fuzz_served, baseline_session, script
+):
+    daemon, listener = fuzz_served
+    session = f"s-{uuid.uuid4().hex[:8]}"
+    sock = socket.create_connection(listener.address, timeout=10)
+    opened = False
+    try:
+        for step in script:
+            header, payload = _frame(
+                step, session, baseline_session["symtab"],
+                baseline_session["log_bytes"],
+            )
+            protocol.write_frame(sock, header, payload)
+            frame = protocol.read_frame(sock)
+            assert frame is not None, f"{step}: closed without a refusal"
+            ack, _ = frame
+            assert ack["ok"] is _expect_ok(step, opened), (step, ack)
+            if not ack["ok"]:
+                assert ack["error"]
+                break
+            opened = opened or step == "hello"
+            if step == "bye":
+                break
+    finally:
+        sock.close()
+    deadline = time.monotonic() + 10
+    while daemon.status()["sessions_open"]:
+        assert time.monotonic() < deadline, "a session never closed"
+        time.sleep(0.01)
+    assert daemon.drain(timeout=10)
+    status = daemon.status()
+    counters = status["counters"]
+    assert counters.get("sessions_opened", 0) == counters.get(
+        "sessions_closed", 0
+    )
+    assert status["accounted"]
+    assert counters.get("segments_ingested", 0) == counters.get(
+        "segments_analyzed", 0
+    ) + counters.get("analysis_errors", 0)

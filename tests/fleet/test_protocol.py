@@ -5,10 +5,13 @@ import socket
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fleet import ProtocolError
 from repro.fleet.protocol import (
     MAX_HEADER,
+    MAX_PAYLOAD,
     _shm_create,
     read_frame,
     shm_read,
@@ -105,3 +108,50 @@ def test_shm_round_trip():
     finally:
         shm.close()
         shm.unlink()
+
+
+# ---------------------------------------------------------------------------
+# Property: every frame header either reads or is refused, typed
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    header=st.dictionaries(
+        st.sampled_from(["type", "tenant", "shm"]) | st.text(max_size=4),
+        _json, max_size=3,
+    ),
+    size=st.none() | st.integers(-3, 40) | _json,
+    trailing=st.binary(max_size=32),
+)
+def test_any_frame_header_reads_or_is_refused(header, size, trailing):
+    if size is not None:
+        header["size"] = size
+    left, right = socket.socketpair()
+    try:
+        raw = json.dumps(header).encode()
+        left.sendall(struct.pack("!I", len(raw)) + raw + trailing)
+        left.shutdown(socket.SHUT_WR)
+        declared = header.get("size", 0)
+        valid = type(declared) is int and 0 <= declared <= MAX_PAYLOAD
+        try:
+            got, payload = read_frame(right)
+        except ProtocolError:
+            # Refused: an untyped or implausible size, or a payload the
+            # peer never sent.
+            assert not valid or declared > len(trailing)
+            return
+        assert valid
+        assert got == header
+        assert payload == trailing[:declared]
+    finally:
+        left.close()
+        right.close()

@@ -1,12 +1,12 @@
-"""The public API facade and its compatibility shims.
+"""The public API facade.
 
 Three contracts:
 
 * :mod:`repro.api` exports every supported name, and each one is the
   *same object* as its home module's (no wrapper layer);
-* the old deep-import paths (``from repro.core import TEEPerf``) keep
-  working but emit a :class:`DeprecationWarning` naming the
-  replacement;
+* :mod:`repro.core` keeps only the supporting cast: the user-facing
+  classes are not re-exported there, and importing it warns about
+  nothing;
 * :class:`RecordOptions` / :class:`AnalyzeOptions` are the single
   definition the CLI builds its flags from — no drift between
   subcommands.
@@ -79,26 +79,6 @@ def test_package_lazy_attributes():
         repro.definitely_not_a_name
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "TEEPerf",
-        "Analyzer",
-        "Recorder",
-        "LiveRecorder",
-        "SharedLog",
-        "FlameGraph",
-        "open_log",
-    ],
-)
-def test_deep_import_warns_and_still_works(name):
-    import repro.core
-
-    with pytest.warns(DeprecationWarning, match=f"repro.api.{name}"):
-        value = getattr(repro.core, name)
-    assert value is getattr(repro.api, name)
-
-
 def test_supporting_names_do_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
@@ -114,6 +94,26 @@ def test_unknown_core_attribute_raises():
 
     with pytest.raises(AttributeError):
         repro.core.definitely_not_a_name
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "TEEPerf",
+        "Analyzer",
+        "Recorder",
+        "LiveRecorder",
+        "SharedLog",
+        "FlameGraph",
+        "open_log",
+    ],
+)
+def test_user_facing_names_live_only_behind_the_api(name):
+    import repro.core
+
+    assert not hasattr(repro.core, name)
+    assert name not in repro.core.__all__
+    assert getattr(repro.api, name) is not None
 
 
 # ---------------------------------------------------------------------------

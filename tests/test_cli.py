@@ -85,6 +85,38 @@ def test_analyze_offline_formats(tmp_path, capsys):
     assert "teeperf_symbol_cache_hit_rate" in metrics
 
 
+@pytest.mark.parametrize("command", ["inspect", "analyze", "convert"])
+def test_non_teeperf_file_is_a_one_line_error(tmp_path, capsys, command):
+    """Garbage in: a typed one-line error on stderr and exit 1, never
+    a traceback — for random bytes, for a rev 1.2 image whose block
+    directory is cut short, and for one with a CRC-damaged block (read
+    through the mapping, which must still unmap on the error)."""
+    import random
+
+    from repro.api import SharedLog
+    from repro.core.columnar import encode_log
+    from repro.symbols import BinaryImage
+
+    symtab = BinaryImage("x").to_json()
+    junk = tmp_path / "junk.teeperf"
+    junk.write_bytes(random.Random(7).randbytes(100))
+    log = SharedLog.create(8)
+    log.append(0, 1, 0x400000, 1)
+    cut = tmp_path / "cut.tpc"
+    cut.write_bytes(encode_log(log)[:80])
+    flipped = tmp_path / "flipped.tpc"
+    damaged = bytearray(encode_log(log))
+    damaged[-1] ^= 0xFF  # inside the only block's payload
+    flipped.write_bytes(damaged)
+    for path in (junk, cut, flipped):
+        (tmp_path / f"{path.name}.symtab.json").write_text(symtab)
+    for path in (junk, cut, flipped):
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert "Traceback" not in err
+
+
 def test_convert_round_trip(tmp_path, capsys):
     out = tmp_path / "demo"
     main(["demo", "-o", str(out)])
